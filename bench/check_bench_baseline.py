@@ -27,8 +27,18 @@ script serves every bench that writes a --json summary:
       enforced unconditionally; the >= 2x speedup floor over the
       sequential event core applies only on runners with >= 4 cores.
 
+  analysis_*   — the SRG kernel and the cold analyze path:
+    * determinism: the workload shape and the incremental dirty-cone
+      effort (incremental_comm_updates) match the baseline exactly;
+    * performance: analyze_us and incremental_ms_per_mutation may not
+      exceed 2x the baseline on a runner with the baseline's core count
+      (like hardware); elsewhere the machine-independent
+      incremental-vs-full speedup may not fall below half the baseline's,
+      and analyze_us gets a coarse absolute budget.
+
 Wall budgets are generous (~50-100x the recorded times) since CI machines
-are slower and noisier than the baseline recorder.
+are slower and noisier than the baseline recorder — except the analysis
+rule, which catches a 2x regression on like hardware.
 
 Usage: check_bench_baseline.py <fresh.json> <baseline.json>
 """
@@ -54,6 +64,12 @@ LINT_WALL_BUDGET_MS = 250.0
 # started rebuilding or re-serializing the world).
 SERVICE_HIT_SPEEDUP_FLOOR = 100.0
 SERVICE_HIT_BUDGET_US = 400.0
+# The analysis gate catches a 2x regression: measured figures may not
+# exceed (or, for the speedup, fall below) the baseline by this factor.
+ANALYSIS_REGRESSION_FACTOR = 2.0
+# Absolute bound for analyze_us on unlike hardware (~50x the recorded
+# figure), where the 2x wall-clock comparison is not meaningful.
+ANALYSIS_ANALYZE_BUDGET_US = 2500.0
 
 
 def check_synthesis(fresh, base):
@@ -300,7 +316,52 @@ def check_service(fresh, base):
     return failures
 
 
+def check_analysis(fresh, base):
+    failures = []
+    for key in ("tasks", "communicators", "mutations",
+                "incremental_comm_updates"):
+        if fresh[key] != base[key]:
+            failures.append(
+                f"{key}: {fresh[key]} != baseline {base[key]} "
+                "(workload or dirty-cone effort changed)")
+
+    factor = ANALYSIS_REGRESSION_FACTOR
+    floor = base["speedup"] / factor
+    if fresh["speedup"] < floor:
+        failures.append(
+            f"speedup: {fresh['speedup']:.0f}x < {floor:.0f}x (baseline "
+            f"{base['speedup']:.0f}x / {factor:g}): the incremental path "
+            "regressed relative to a full rebuild")
+
+    cores = fresh.get("hardware_concurrency", 0)
+    if cores == base["hardware_concurrency"]:
+        for key in ("analyze_us", "incremental_ms_per_mutation"):
+            limit = base[key] * factor
+            if fresh[key] > limit:
+                failures.append(
+                    f"{key}: {fresh[key]:.6g} > {limit:.6g} (baseline "
+                    f"{base[key]:.6g} x {factor:g} on {cores} cores)")
+    else:
+        print(f"note: {cores} core(s) != baseline "
+              f"{base['hardware_concurrency']} — 2x wall-clock bounds not "
+              "enforced (speedup floor and absolute budget still checked)")
+        if fresh["analyze_us"] > ANALYSIS_ANALYZE_BUDGET_US:
+            failures.append(
+                f"analyze_us: {fresh['analyze_us']:.1f} > budget "
+                f"{ANALYSIS_ANALYZE_BUDGET_US} us")
+
+    for label, data in (("fresh:   ", fresh), ("baseline:", base)):
+        print(f"{label} cores={data['hardware_concurrency']} "
+              f"analyze={data['analyze_us']:.1f}us "
+              f"incremental={data['incremental_ms_per_mutation'] * 1e6:.0f}ns "
+              f"full={data['full_rebuild_ms_per_mutation'] * 1e3:.1f}us "
+              f"speedup={data['speedup']:.0f}x "
+              f"comm_updates={data['incremental_comm_updates']}")
+    return failures
+
+
 RULES = {
+    "analysis": check_analysis,
     "synthesis": check_synthesis,
     "service": check_service,
     "longrun": check_longrun,

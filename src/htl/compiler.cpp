@@ -11,9 +11,17 @@ namespace {
 /// "line L:C: message" — the uniform location prefix of every frontend
 /// error (column 0 omits the ":C" part for constructs without one).
 Status line_error(int line, int column, const std::string& message) {
-  std::string prefix = "line " + std::to_string(line);
-  if (column > 0) prefix += ":" + std::to_string(column);
-  return ParseError(prefix + ": " + message);
+  // Appended piecewise: chained operator+ on temporaries trips a GCC 12
+  // -Wrestrict false positive at -O3.
+  std::string text = "line ";
+  text += std::to_string(line);
+  if (column > 0) {
+    text += ':';
+    text += std::to_string(column);
+  }
+  text += ": ";
+  text += message;
+  return ParseError(text);
 }
 
 /// Resolves the mode to flatten for `module`.

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "spec/spec_graph.h"
 #include "support/strings.h"
 #include "synth/synthesis.h"
 
@@ -419,15 +418,14 @@ void check_dead_communicators(const htl::ProgramAst& program,
 void check_cycles(const htl::ProgramAst& program,
                   const spec::Specification& spec,
                   const SourceLocation& origin, DiagnosticEngine& engine) {
-  const spec::SpecificationGraph graph(spec);
-  if (graph.is_memory_free()) return;
+  if (spec.is_memory_free()) return;
   const auto comms = comm_index(program);
   const auto locate = [&](spec::CommId id) {
     const auto it = comms.find(spec.communicator(id).name);
     if (it == comms.end()) return at(origin, 0, 0);
     return at(origin, it->second->line, it->second->column);
   };
-  for (const std::vector<spec::CommId>& cycle : graph.cycles()) {
+  for (const std::vector<spec::CommId>& cycle : spec.cycles()) {
     std::vector<std::string> names;
     names.reserve(cycle.size());
     for (const spec::CommId id : cycle) {
@@ -438,13 +436,13 @@ void check_cycles(const htl::ProgramAst& program,
                     "}: the specification has memory, so Prop. 1 does not "
                     "apply directly (Section 3)");
   }
-  if (!graph.is_cycle_safe()) {
+  if (!spec.is_cycle_safe()) {
     report_rule(engine, kRuleUnsafeCycle,
-                locate(graph.cycles().front().front()),
+                locate(spec.cycles().front().front()),
                 "a communicator cycle contains no independent-model task; "
                 "the SRG induction is ill-founded and the long-run "
                 "reliability of the cycle is 0:\n" +
-                    graph.describe_cycles(),
+                    spec.describe_cycles(),
                 "give one task in each cycle 'model independent' (with "
                 "defaults)");
   }

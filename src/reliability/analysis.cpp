@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "spec/spec_graph.h"
 #include "support/json.h"
 #include "support/math_util.h"
 #include "support/strings.h"
@@ -15,7 +14,9 @@ using spec::CommId;
 using spec::FailureModel;
 using spec::TaskId;
 
-/// One SRG update for communicator `c` given current input SRGs.
+/// One update of the greatest-fixpoint iteration for communicator `c`
+/// given current input SRGs — the Section-3 rules, evaluated in the same
+/// order as SrgEvaluator's kernel.
 double srg_rule(const impl::Implementation& impl, CommId c,
                 const std::vector<double>& srgs,
                 const std::vector<double>& task_lambdas) {
@@ -50,23 +51,13 @@ double srg_rule(const impl::Implementation& impl, CommId c,
   return 0.0;
 }
 
-std::vector<double> all_task_lambdas(const impl::Implementation& impl) {
-  const std::size_t n = impl.specification().tasks().size();
-  std::vector<double> lambdas(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    lambdas[t] = task_reliability(impl, static_cast<TaskId>(t));
-  }
-  return lambdas;
-}
-
-ReliabilityReport make_report(const impl::Implementation& impl,
-                              const std::vector<double>& srgs,
-                              bool memory_free, bool cycle_safe) {
-  const spec::Specification& spec = impl.specification();
+ReliabilityReport make_report(const spec::Specification& spec,
+                              const std::vector<double>& srgs) {
   ReliabilityReport report;
-  report.memory_free = memory_free;
-  report.cycle_safe = cycle_safe;
+  report.memory_free = spec.is_memory_free();
+  report.cycle_safe = spec.is_cycle_safe();
   report.reliable = true;
+  report.verdicts.reserve(spec.communicators().size());
   for (CommId c = 0; c < static_cast<CommId>(spec.communicators().size());
        ++c) {
     const spec::Communicator& comm = spec.communicator(c);
@@ -86,37 +77,25 @@ ReliabilityReport make_report(const impl::Implementation& impl,
 }  // namespace
 
 double task_reliability(const impl::Implementation& impl, TaskId task) {
-  // Time redundancy: k re-executions make the per-host invocation succeed
-  // with 1 - (1 - hrel)^(k+1) (independent transient faults).
-  const int attempts = impl.reexecutions(task) + 1;
-  std::vector<double> host_rels;
-  for (const arch::HostId h : impl.hosts_for(task)) {
-    const double fail_once = 1.0 - impl.architecture().host(h).reliability;
-    host_rels.push_back(1.0 - std::pow(fail_once, attempts));
-  }
-  // lambda_t = 1 - prod (1 - hrel(h)): at least one replication survives.
-  return parallel_or(host_rels);
+  std::vector<double> scratch;
+  return replicated_reliability(impl.architecture(), impl.hosts_for(task),
+                                impl.reexecutions(task), scratch);
 }
 
 Result<std::vector<double>> compute_srgs(const impl::Implementation& impl) {
-  const spec::Specification& spec = impl.specification();
-  const spec::SpecificationGraph graph(spec);
-  LRT_ASSIGN_OR_RETURN(const std::vector<CommId> order,
-                       graph.reliability_order());
-
-  const std::vector<double> lambdas = all_task_lambdas(impl);
-  std::vector<double> srgs(spec.communicators().size(), 1.0);
-  for (const CommId c : order) {
-    srgs[static_cast<std::size_t>(c)] = srg_rule(impl, c, srgs, lambdas);
-  }
-  return srgs;
+  LRT_ASSIGN_OR_RETURN(const SrgEvaluator evaluator,
+                       SrgEvaluator::FromImplementation(impl));
+  return evaluator.srgs();
 }
 
 std::vector<double> compute_srgs_fixpoint(const impl::Implementation& impl,
                                           int max_iterations,
                                           double epsilon) {
   const spec::Specification& spec = impl.specification();
-  const std::vector<double> lambdas = all_task_lambdas(impl);
+  std::vector<double> lambdas(spec.tasks().size());
+  for (std::size_t t = 0; t < lambdas.size(); ++t) {
+    lambdas[t] = task_reliability(impl, static_cast<TaskId>(t));
+  }
   std::vector<double> srgs(spec.communicators().size(), 1.0);
   // The update operator is monotone and starts at the top element, so the
   // iteration descends to the greatest fixpoint.
@@ -230,16 +209,19 @@ Result<ReliabilityReport> report_from_json(const JsonValue& document) {
   return report;
 }
 
+Result<SrgEvaluator> evaluate(const impl::Implementation& impl) {
+  LRT_RETURN_IF_ERROR(
+      impl.specification().require_cycle_safe("reliability analysis"));
+  return SrgEvaluator::FromImplementation(impl);
+}
+
+ReliabilityReport make_report(const SrgEvaluator& evaluator) {
+  return make_report(evaluator.specification(), evaluator.srgs());
+}
+
 Result<ReliabilityReport> analyze(const impl::Implementation& impl) {
-  const spec::SpecificationGraph graph(impl.specification());
-  if (!graph.is_cycle_safe()) {
-    return FailedPreconditionError(
-        "reliability analysis requires a cycle-safe specification:\n" +
-        graph.describe_cycles());
-  }
-  LRT_ASSIGN_OR_RETURN(const std::vector<double> srgs, compute_srgs(impl));
-  return make_report(impl, srgs, graph.is_memory_free(),
-                     graph.is_cycle_safe());
+  LRT_ASSIGN_OR_RETURN(const SrgEvaluator evaluator, evaluate(impl));
+  return make_report(evaluator);
 }
 
 Result<ReliabilityReport> analyze_time_dependent(
@@ -256,12 +238,7 @@ Result<ReliabilityReport> analyze_time_dependent(
           "specification and architecture");
     }
   }
-  const spec::SpecificationGraph graph(spec);
-  if (!graph.is_cycle_safe()) {
-    return FailedPreconditionError(
-        "reliability analysis requires a cycle-safe specification:\n" +
-        graph.describe_cycles());
-  }
+  LRT_RETURN_IF_ERROR(spec.require_cycle_safe("reliability analysis"));
 
   // Long-run average over phases: iterations cycle deterministically, so by
   // the SLLN applied per congruence class the limit average of the abstract
@@ -273,8 +250,7 @@ Result<ReliabilityReport> analyze_time_dependent(
     for (std::size_t c = 0; c < mean.size(); ++c) mean[c] += srgs[c];
   }
   for (double& m : mean) m /= static_cast<double>(phases.size());
-  return make_report(phases.front(), mean, graph.is_memory_free(),
-                     graph.is_cycle_safe());
+  return make_report(spec, mean);
 }
 
 }  // namespace lrt::reliability

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "impl/implementation.h"
+#include "reliability/incremental.h"
 #include "support/json.h"
 #include "support/status.h"
 
@@ -41,8 +42,9 @@ namespace lrt::reliability {
                                       spec::TaskId task);
 
 /// SRGs for all communicators by induction over the (model-3-cut) dataflow
-/// order. Fails (kFailedPrecondition) when the specification has a
-/// communicator cycle with no independent-model task.
+/// order: SrgEvaluator::FromImplementation(impl).srgs(). Fails
+/// (kFailedPrecondition) when the specification has a communicator cycle
+/// with no independent-model task.
 [[nodiscard]] Result<std::vector<double>> compute_srgs(
     const impl::Implementation& impl);
 
@@ -87,10 +89,18 @@ void write_json(const ReliabilityReport& report, JsonWriter& json);
 [[nodiscard]] Result<ReliabilityReport> report_from_json(
     const JsonValue& document);
 
-/// Full reliability analysis of one implementation (Prop. 1 check).
-/// Fails only when SRGs are not well-defined (unsafe cycles); an
-/// implementation that misses its LRCs yields a report with
-/// reliable == false, not an error.
+/// The SRG kernel primed with `impl`, ready for incremental mutation;
+/// fails exactly when analyze() does.
+[[nodiscard]] Result<SrgEvaluator> evaluate(const impl::Implementation& impl);
+
+/// The LRC verdicts of the evaluator's current SRGs (analyze()'s report
+/// for the implementation the evaluator currently represents).
+[[nodiscard]] ReliabilityReport make_report(const SrgEvaluator& evaluator);
+
+/// Full reliability analysis of one implementation (Prop. 1 check):
+/// make_report(evaluate(impl)). Fails only when SRGs are not well-defined
+/// (unsafe cycles); an implementation that misses its LRCs yields a
+/// report with reliable == false, not an error.
 [[nodiscard]] Result<ReliabilityReport> analyze(
     const impl::Implementation& impl);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "spec/spec_graph.h"
-
 namespace lrt::reliability {
 namespace {
 
@@ -116,9 +114,8 @@ Result<bool> live_under_pattern(const impl::Implementation& impl,
       comm >= static_cast<CommId>(spec.communicators().size())) {
     return OutOfRangeError("live_under_pattern: communicator out of range");
   }
-  const spec::SpecificationGraph graph(spec);
-  LRT_ASSIGN_OR_RETURN(const std::vector<CommId> order,
-                       graph.reliability_order());
+  LRT_RETURN_IF_ERROR(spec.require_cycle_safe("fault-pattern analysis"));
+  const std::vector<CommId>& order = spec.reliability_order();
   std::vector<bool> host_failed(impl.architecture().hosts().size(), false);
   std::vector<bool> sensor_failed(impl.architecture().sensors().size(),
                                   false);
@@ -145,9 +142,8 @@ Result<FaultPatternReport> analyze_fault_patterns(
   }
   const spec::Specification& spec = impl.specification();
   const arch::Architecture& arch = impl.architecture();
-  const spec::SpecificationGraph graph(spec);
-  LRT_ASSIGN_OR_RETURN(const std::vector<CommId> order,
-                       graph.reliability_order());
+  LRT_RETURN_IF_ERROR(spec.require_cycle_safe("fault-pattern analysis"));
+  const std::vector<CommId>& order = spec.reliability_order();
 
   // Components: hosts first, then the sensors actually bound.
   const int num_hosts = static_cast<int>(arch.hosts().size());

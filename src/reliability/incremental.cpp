@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 
-#include "spec/spec_graph.h"
 #include "support/math_util.h"
 
 namespace lrt::reliability {
@@ -18,13 +17,27 @@ using spec::TaskId;
 
 }  // namespace
 
-Result<SrgEvaluator> SrgEvaluator::Create(
+double replicated_reliability(const arch::Architecture& arch,
+                              std::span<const HostId> hosts, int reexecutions,
+                              std::vector<double>& scratch) {
+  // Time redundancy: k re-executions make the per-host invocation succeed
+  // with 1 - (1 - hrel)^(k+1) (independent transient faults).
+  const int attempts = reexecutions + 1;
+  scratch.clear();
+  for (const HostId h : hosts) {
+    const double fail_once = 1.0 - arch.host(h).reliability;
+    scratch.push_back(1.0 - std::pow(fail_once, attempts));
+  }
+  // lambda_t = 1 - prod (1 - hrel(h)): at least one replication survives.
+  return parallel_or(scratch);
+}
+
+Result<SrgEvaluator> SrgEvaluator::Prepare(
     const spec::Specification& spec, const arch::Architecture& arch,
     std::vector<SensorId> sensor_by_comm, std::vector<int> reexecutions) {
   const auto num_comms = spec.communicators().size();
   const auto num_tasks = spec.tasks().size();
-  const spec::SpecificationGraph graph(spec);
-  LRT_ASSIGN_OR_RETURN(std::vector<CommId> order, graph.reliability_order());
+  LRT_RETURN_IF_ERROR(spec.require_cycle_safe("the SRG induction"));
 
   if (sensor_by_comm.size() != num_comms) {
     return InvalidArgumentError(
@@ -41,11 +54,10 @@ Result<SrgEvaluator> SrgEvaluator::Create(
   SrgEvaluator eval;
   eval.spec_ = &spec;
   eval.arch_ = &arch;
-  eval.topo_order_ = std::move(order);
+  const std::vector<CommId>& order = spec.reliability_order();
   eval.topo_pos_.assign(num_comms, 0);
-  for (std::size_t i = 0; i < eval.topo_order_.size(); ++i) {
-    eval.topo_pos_[static_cast<std::size_t>(eval.topo_order_[i])] =
-        static_cast<int>(i);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    eval.topo_pos_[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
   }
   eval.rule_.assign(num_comms, Rule::kConstantOne);
   eval.sensor_rel_.assign(num_comms, 1.0);
@@ -90,18 +102,16 @@ Result<SrgEvaluator> SrgEvaluator::Create(
   eval.satisfied_.assign(num_comms, 0);
   eval.relaxed_.assign(num_comms, 0);
   eval.dirty_.assign(num_comms, 0);
+  return eval;
+}
 
-  // Initial full pass (every task still hostless: lambda_t = 0).
-  for (const CommId c : eval.topo_order_) {
-    const auto cs = static_cast<std::size_t>(c);
-    eval.srg_[cs] = eval.compute_rule(cs);
-  }
-  eval.unsatisfied_ = 0;
-  for (std::size_t c = 0; c < num_comms; ++c) {
-    eval.satisfied_[c] = approx_ge(eval.srg_[c], eval.lrc_[c]) ? 1 : 0;
-    if (eval.satisfied_[c] == 0) ++eval.unsatisfied_;
-  }
-  eval.recording_ = true;
+Result<SrgEvaluator> SrgEvaluator::Create(
+    const spec::Specification& spec, const arch::Architecture& arch,
+    std::vector<SensorId> sensor_by_comm, std::vector<int> reexecutions) {
+  LRT_ASSIGN_OR_RETURN(SrgEvaluator eval,
+                       Prepare(spec, arch, std::move(sensor_by_comm),
+                               std::move(reexecutions)));
+  eval.full_pass();  // every task still hostless: lambda_t = 0
   return eval;
 }
 
@@ -109,27 +119,38 @@ Result<SrgEvaluator> SrgEvaluator::FromImplementation(
     const impl::Implementation& impl) {
   const spec::Specification& spec = impl.specification();
   const auto num_comms = spec.communicators().size();
+  const auto num_tasks = static_cast<TaskId>(spec.tasks().size());
   std::vector<SensorId> sensors(num_comms, -1);
   for (CommId c = 0; c < static_cast<CommId>(num_comms); ++c) {
     if (spec.is_input_communicator(c) && !spec.readers_of(c).empty()) {
       sensors[static_cast<std::size_t>(c)] = impl.sensor_for(c);
     }
   }
-  std::vector<int> reexecutions(spec.tasks().size(), 0);
-  for (TaskId t = 0; t < static_cast<TaskId>(spec.tasks().size()); ++t) {
+  std::vector<int> reexecutions(static_cast<std::size_t>(num_tasks), 0);
+  for (TaskId t = 0; t < num_tasks; ++t) {
     reexecutions[static_cast<std::size_t>(t)] = impl.reexecutions(t);
   }
   LRT_ASSIGN_OR_RETURN(SrgEvaluator eval,
-                       Create(spec, impl.architecture(), std::move(sensors),
-                              std::move(reexecutions)));
-  eval.recording_ = false;  // the snapshot is the baseline, not undoable
-  for (TaskId t = 0; t < static_cast<TaskId>(spec.tasks().size()); ++t) {
-    eval.set_task_hosts(t, impl.hosts_for(t));
+                       Prepare(spec, impl.architecture(), std::move(sensors),
+                               std::move(reexecutions)));
+  for (TaskId t = 0; t < num_tasks; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    eval.lambda_[ts] = eval.lambda_for(ts, impl.hosts_for(t));
   }
-  eval.recording_ = true;
-  eval.comm_updates_ = 0;
-  eval.evals_ = 0;
+  eval.full_pass();
   return eval;
+}
+
+void SrgEvaluator::full_pass() {
+  for (const CommId c : spec_->reliability_order()) {
+    const auto cs = static_cast<std::size_t>(c);
+    srg_[cs] = compute_rule(cs);
+  }
+  unsatisfied_ = 0;
+  for (std::size_t c = 0; c < srg_.size(); ++c) {
+    satisfied_[c] = approx_ge(srg_[c], lrc_[c]) ? 1 : 0;
+    if (satisfied_[c] == 0 && relaxed_[c] == 0) ++unsatisfied_;
+  }
 }
 
 double SrgEvaluator::slack(CommId c) const {
@@ -154,18 +175,13 @@ void SrgEvaluator::refresh_satisfied(std::size_t c) {
 }
 
 void SrgEvaluator::store_srg(std::size_t c, double value) {
-  if (recording_) {
-    trail_.push_back({static_cast<std::int32_t>(c), srg_[c]});
-  }
+  trail_.push_back({static_cast<std::int32_t>(c), srg_[c]});
   srg_[c] = value;
   refresh_satisfied(c);
 }
 
 void SrgEvaluator::store_lambda(std::size_t t, double value) {
-  if (recording_) {
-    trail_.push_back({static_cast<std::int32_t>(srg_.size() + t),
-                      lambda_[t]});
-  }
+  trail_.push_back({static_cast<std::int32_t>(srg_.size() + t), lambda_[t]});
   lambda_[t] = value;
 }
 
@@ -181,8 +197,8 @@ double SrgEvaluator::compute_rule(std::size_t c) {
   const TaskId t = writer_[c];
   const double lambda_t = lambda_[static_cast<std::size_t>(t)];
   const spec::Task& task = spec_->task(t);
-  // Same buffer-fill order and reduction calls as analysis.cpp's srg_rule,
-  // so the rounding is bit-identical.
+  // Same buffer-fill order and reduction calls as compute_srgs_fixpoint's
+  // update rule, so the rounding is bit-identical.
   input_buf_.clear();
   for (const CommId in : spec_->input_comm_set(t)) {
     input_buf_.push_back(srg_[static_cast<std::size_t>(in)]);
@@ -198,19 +214,17 @@ double SrgEvaluator::compute_rule(std::size_t c) {
   return 0.0;
 }
 
+double SrgEvaluator::lambda_for(std::size_t t,
+                                std::span<const HostId> hosts) {
+  return replicated_reliability(*arch_, hosts, reexecutions_[t],
+                                host_rel_buf_);
+}
+
 std::size_t SrgEvaluator::set_task_hosts(TaskId task,
                                          std::span<const HostId> hosts) {
   ++evals_;
   const auto ts = static_cast<std::size_t>(task);
-  // lambda_t exactly as analysis.cpp's task_reliability: per-host
-  // 1 - (1 - hrel)^attempts, reduced with parallel_or in host order.
-  const int attempts = reexecutions_[ts] + 1;
-  host_rel_buf_.clear();
-  for (const HostId h : hosts) {
-    const double fail_once = 1.0 - arch_->host(h).reliability;
-    host_rel_buf_.push_back(1.0 - std::pow(fail_once, attempts));
-  }
-  const double lambda = parallel_or(host_rel_buf_);
+  const double lambda = lambda_for(ts, hosts);
   if (lambda == lambda_[ts]) {
     return 0;  // same lambda_t => every downstream SRG is unchanged
   }
@@ -235,7 +249,7 @@ void SrgEvaluator::propagate() {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const int pos = heap_.back();
     heap_.pop_back();
-    const CommId c = topo_order_[static_cast<std::size_t>(pos)];
+    const CommId c = spec_->reliability_order()[static_cast<std::size_t>(pos)];
     const auto cs = static_cast<std::size_t>(c);
     dirty_[cs] = 0;
     const double value = compute_rule(cs);

@@ -1,16 +1,17 @@
-// Incremental SRG evaluation — the synthesis fast path's kernel.
+// The SRG kernel: the paper's Section-3 induction over flat state, shared
+// by the one-shot analysis and the synthesis/lrtd fast paths.
 //
-// reliability::analyze() recomputes everything from scratch: it rebuilds
-// the specification graph, re-derives every task reliability lambda_t, and
-// re-runs the Section-3 induction over all communicators. That is the
-// right shape for a one-shot analysis, but a synthesis search evaluates
-// thousands of candidate mappings that differ in a *single* task's host
-// set. The SRG induction is monotone and local: changing I(t) can only
-// affect lambda_t and the SRGs of communicators downstream of t (where
+// reliability::analyze() is a thin verdict layer over this evaluator: it
+// snapshots an implementation (FromImplementation: every lambda_t, then
+// one pass over the specification's cached reliability order) and reads
+// the report off the result. A synthesis search evaluates thousands of
+// candidate mappings that differ in a *single* task's host set; the SRG
+// induction is monotone and local, so changing I(t) can only affect
+// lambda_t and the SRGs of communicators downstream of t (where
 // independent-model tasks cut the dataflow). SrgEvaluator exploits this:
 //
-//  * the topological order of the (model-3-cut) dataflow is computed once
-//    at construction;
+//  * the topological order of the (model-3-cut) dataflow is the one
+//    Specification::Build derived;
 //  * per-task lambda_t and per-communicator SRGs live in flat
 //    std::vector<double> state; evaluating a single-task host-set change
 //    re-propagates only through the dirty downstream cone, with no
@@ -18,13 +19,14 @@
 //  * an undo trail (mark()/rollback()) lets a branch-and-bound search
 //    backtrack in O(|changes|) without re-propagating.
 //
-// Bit-identity contract: srgs() is bitwise identical to what
-// reliability::analyze() reports for an Implementation with the same host
-// sets, sensor bindings, and re-execution counts — same formulas
-// (math_util's series_and / parallel_or, std::pow), same evaluation order
-// (hosts ascending, inputs in input_comm_set order, communicators in
-// reliability_order). tests/incremental_test.cpp enforces this against
-// randomized workloads and mutations.
+// Bit-identity contract: after any sequence of set_task_hosts() calls and
+// rollbacks, srgs() is bitwise identical to a from-scratch evaluation of
+// the same host sets, sensor bindings, and re-execution counts — every
+// value is the same pure function of its inputs (math_util's series_and /
+// parallel_or, std::pow; hosts ascending, inputs in input_comm_set order).
+// tests/incremental_test.cpp enforces this against an independent
+// induction oracle (tests/srg_oracle.h) on randomized workloads and
+// mutations.
 #ifndef LRT_RELIABILITY_INCREMENTAL_H_
 #define LRT_RELIABILITY_INCREMENTAL_H_
 
@@ -36,6 +38,14 @@
 #include "support/status.h"
 
 namespace lrt::reliability {
+
+/// lambda_t of a task replicated on `hosts` (ascending) with
+/// `reexecutions` re-executions per invocation: each host succeeds with
+/// 1 - (1 - hrel)^(k+1), and at least one replication must survive.
+/// `scratch` is reused storage, so hot loops do not allocate.
+[[nodiscard]] double replicated_reliability(
+    const arch::Architecture& arch, std::span<const arch::HostId> hosts,
+    int reexecutions, std::vector<double>& scratch);
 
 class SrgEvaluator {
  public:
@@ -52,11 +62,16 @@ class SrgEvaluator {
                                      std::vector<arch::SensorId> sensor_by_comm,
                                      std::vector<int> reexecutions = {});
 
-  /// Convenience: evaluator snapshotting an existing implementation's
-  /// sensor bindings, re-execution counts, and host sets. srgs() of the
-  /// result is bit-identical to compute_srgs(impl).
+  /// Evaluator snapshotting an existing implementation's sensor bindings,
+  /// re-execution counts, and host sets, computed in one SRG pass. This is
+  /// the analysis kernel: compute_srgs(impl) is its srgs().
   static Result<SrgEvaluator> FromImplementation(
       const impl::Implementation& impl);
+
+  /// The specification the evaluator was built for.
+  [[nodiscard]] const spec::Specification& specification() const {
+    return *spec_;
+  }
 
   /// Replaces I(t) and re-propagates SRGs through the dirty downstream
   /// cone. `hosts` must be duplicate-free and ascending (the order
@@ -110,12 +125,22 @@ class SrgEvaluator {
  private:
   SrgEvaluator() = default;
 
+  /// The static structure, with flat state sized but not yet computed.
+  static Result<SrgEvaluator> Prepare(const spec::Specification& spec,
+                                      const arch::Architecture& arch,
+                                      std::vector<arch::SensorId> sensor_by_comm,
+                                      std::vector<int> reexecutions);
+
   /// How a communicator's SRG is produced (paper Section 3 rules).
   enum class Rule : std::uint8_t { kConstantOne, kSensor, kTask };
 
   void store_srg(std::size_t c, double value);
   void store_lambda(std::size_t t, double value);
   [[nodiscard]] double compute_rule(std::size_t c);
+  [[nodiscard]] double lambda_for(std::size_t t,
+                                  std::span<const arch::HostId> hosts);
+  /// Every SRG in reliability order plus the verdict flags, unrecorded.
+  void full_pass();
   void propagate();
   void refresh_satisfied(std::size_t c);
 
@@ -123,8 +148,7 @@ class SrgEvaluator {
   const arch::Architecture* arch_ = nullptr;
 
   // Static structure (built once).
-  std::vector<spec::CommId> topo_order_;
-  std::vector<int> topo_pos_;                   // by CommId
+  std::vector<int> topo_pos_;  // by CommId, into reliability_order()
   std::vector<Rule> rule_;                      // by CommId
   std::vector<double> sensor_rel_;              // by CommId (kSensor only)
   std::vector<spec::TaskId> writer_;            // by CommId (-1 = none)
@@ -152,7 +176,6 @@ class SrgEvaluator {
     double old_value;
   };
   std::vector<TrailEntry> trail_;
-  bool recording_ = false;
 
   std::int64_t comm_updates_ = 0;
   std::int64_t evals_ = 0;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "spec/spec_graph.h"
 #include "support/math_util.h"
 #include "support/strings.h"
 
@@ -167,12 +166,7 @@ Result<SrgRbd> build_srg_rbd(const impl::Implementation& impl,
       comm >= static_cast<spec::CommId>(spec.communicators().size())) {
     return OutOfRangeError("build_srg_rbd: communicator id out of range");
   }
-  const spec::SpecificationGraph graph(spec);
-  if (!graph.is_cycle_safe()) {
-    return FailedPreconditionError(
-        "build_srg_rbd requires a cycle-safe specification:\n" +
-        graph.describe_cycles());
-  }
+  LRT_RETURN_IF_ERROR(spec.require_cycle_safe("build_srg_rbd"));
   SrgRbd result;
   result.root = expand(impl, result.rbd, comm);
   return result;

@@ -7,6 +7,9 @@
 #include <utility>
 
 #include <poll.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -22,7 +25,8 @@ Server::Connection::~Connection() {
 }
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), service_(options_.service) {
+    : options_(std::move(options)) {
+  service_.emplace(options_.service);
   threads_ = options_.threads != 0
                  ? options_.threads
                  : std::max(1u, std::thread::hardware_concurrency());
@@ -160,7 +164,8 @@ void Server::worker_loop() {
     connection->queue.pop_front();
     lock.unlock();
 
-    const ServiceReply reply = service_.handle(payload);
+    if (options_.admission_gate) options_.admission_gate(payload);
+    const ServiceReply reply = service_->handle(payload);
     {
       const std::lock_guard<std::mutex> write_lock(
           connection->write_mutex);
@@ -246,6 +251,15 @@ Server::~Server() {
   if (listener_.joinable() || dispatcher_.joinable() || !joined_) {
     Wait();
   }
+  // The residents and the replay cache were allocated by the server's
+  // threads, so glibc keeps their freed pages in those threads' arenas.
+  // The next threads to start take over the arenas in thread-exit order,
+  // so a process that starts servers one after another would carry a
+  // varying amount of dead memory; trimming after the free returns it.
+  service_.reset();
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
 }
 
 }  // namespace lrt::service

@@ -23,9 +23,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,6 +50,12 @@ struct ServerOptions {
   /// service.shed).
   std::size_t max_pending = 128;
   ServiceOptions service;
+  /// Test hook: when set, a worker calls it with each admitted request
+  /// frame just before the service handles it (on the worker thread, no
+  /// server lock held). The request stays pending meanwhile, so a gate
+  /// that blocks holds its admission slot — how tests pin a request in
+  /// flight deterministically instead of racing it.
+  std::function<void(std::string_view frame)> admission_gate;
 };
 
 class Server {
@@ -55,8 +64,9 @@ class Server {
   [[nodiscard]] static Result<std::unique_ptr<Server>> Start(
       ServerOptions options);
 
-  /// Stops (if still running), joins every thread, closes every fd, and
-  /// unlinks the socket path.
+  /// Stops (if still running), joins every thread, closes every fd,
+  /// unlinks the socket path, frees the service state and hands the
+  /// allocator's free pages back to the OS (see the definition).
   ~Server();
 
   Server(const Server&) = delete;
@@ -97,7 +107,7 @@ class Server {
 
   ServerOptions options_;
   unsigned threads_ = 1;
-  Service service_;
+  std::optional<Service> service_;  ///< engaged until ~Server
 
   int listen_fd_ = -1;
   std::atomic<bool> accepting_{true};

@@ -12,7 +12,6 @@
 #include "lrt/lrt.h"
 #include "reliability/analysis.h"
 #include "reliability/incremental.h"
-#include "spec/spec_graph.h"
 #include "spec/spec_json.h"
 #include "synth/synth_json.h"
 
@@ -131,69 +130,36 @@ void write_validation_json(const sim::ValidationReport& report,
 }  // namespace
 
 /// A workload held hot: the built models, the canonical config of the
-/// last fully analyzed implementation, and an SrgEvaluator primed with
-/// it. `mutex` serializes all implementation-state access; the models
-/// and graph flags are immutable after construction.
+/// last fully analyzed implementation, and the SrgEvaluator that analyzed
+/// it. `mutex` serializes all implementation-state access; the models are
+/// immutable after construction.
 struct Service::Resident {
   std::uint64_t fingerprint = 0;
   lrt::Workload workload;
-  bool memory_free = false;
-  bool cycle_safe = false;
 
   std::mutex mutex;
   bool has_impl = false;
   /// Canonical config of the resident implementation (TaskId-order
   /// mappings, CommId-order bindings) — the rebuild fallback's source.
   impl::ImplementationConfig impl_config;
-  std::vector<std::vector<arch::HostId>> hosts;  ///< by TaskId, ascending
-  std::vector<int> reexecutions;                 ///< by TaskId
-  /// Absent when the specification is not cycle-safe (no SRG induction)
-  /// or the last FromImplementation failed; mutate requests then rebuild.
+  std::vector<int> reexecutions;  ///< by TaskId
+  /// The evaluator that analyzed the resident implementation; present
+  /// iff has_impl.
   std::optional<reliability::SrgEvaluator> evaluator;
 
-  /// Records `impl` as the resident implementation after a fully
-  /// successful cold analysis. Call with `mutex` held.
-  void prime(const impl::Implementation& impl) {
+  /// Records `impl`, analyzed by `analyzed`, as the resident
+  /// implementation after a fully successful cold analysis. Call with
+  /// `mutex` held.
+  void prime(const impl::Implementation& impl,
+             reliability::SrgEvaluator analyzed) {
     const std::size_t tasks = workload.spec->tasks().size();
     impl_config = impl.to_config();
-    hosts.resize(tasks);
     reexecutions.resize(tasks);
     for (std::size_t t = 0; t < tasks; ++t) {
-      hosts[t] = impl.hosts_for(static_cast<spec::TaskId>(t));
       reexecutions[t] = impl.reexecutions(static_cast<spec::TaskId>(t));
     }
-    Result<reliability::SrgEvaluator> built =
-        reliability::SrgEvaluator::FromImplementation(impl);
-    if (built.ok()) {
-      evaluator = std::move(built).value();
-    } else {
-      evaluator.reset();
-    }
+    evaluator = std::move(analyzed);
     has_impl = true;
-  }
-
-  /// The analyze() report reconstructed from the evaluator's state —
-  /// field for field the make_report computation over bit-identical
-  /// SRGs (the SrgEvaluator contract), so hit responses match cold ones.
-  [[nodiscard]] reliability::ReliabilityReport report() const {
-    const spec::Specification& spec = *workload.spec;
-    reliability::ReliabilityReport out;
-    out.memory_free = memory_free;
-    out.cycle_safe = cycle_safe;
-    out.reliable = true;
-    const auto count = static_cast<spec::CommId>(spec.communicators().size());
-    for (spec::CommId c = 0; c < count; ++c) {
-      reliability::CommunicatorVerdict verdict;
-      verdict.comm = c;
-      verdict.name = spec.communicator(c).name;
-      verdict.srg = evaluator->srg(c);
-      verdict.lrc = spec.communicator(c).lrc;
-      verdict.slack = verdict.srg - verdict.lrc;
-      verdict.satisfied = evaluator->satisfied(c);
-      out.reliable = out.reliable && verdict.satisfied;
-      out.verdicts.push_back(std::move(verdict));
-    }
-    return out;
   }
 };
 
@@ -276,9 +242,6 @@ Result<std::shared_ptr<Service::Resident>> Service::resolve_workload(
   auto resident = std::make_shared<Resident>();
   resident->fingerprint = fp;
   resident->workload = std::move(workload);
-  const spec::SpecificationGraph graph(*resident->workload.spec);
-  resident->memory_free = graph.is_memory_free();
-  resident->cycle_safe = graph.is_cycle_safe();
 
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto [it, inserted] = residents_.try_emplace(fp);
@@ -324,40 +287,40 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
   std::optional<reliability::ReliabilityReport> report;
   bool reliable = false;
   std::int64_t unsatisfied = 0;
-  // Sets the verdict fields (and drops the report unless requested)
-  // from a full report — the cold path's summary, byte-identical to the
-  // hit path's evaluator reads by the SrgEvaluator contract.
-  const auto summarize = [&](reliability::ReliabilityReport&& full) {
-    reliable = full.reliable;
-    unsatisfied = 0;
-    for (const reliability::CommunicatorVerdict& verdict : full.verdicts) {
-      if (!verdict.satisfied) ++unsatisfied;
-    }
-    if (include_report) report = std::move(full);
-  };
   const std::lock_guard<std::mutex> lock(resident->mutex);
+  // Sets the verdict fields (and the report, if requested) from the
+  // resident evaluator — one read path for cold and hit requests.
+  const auto summarize = [&] {
+    const reliability::SrgEvaluator& evaluator = *resident->evaluator;
+    reliable = evaluator.all_lrcs_satisfied();
+    unsatisfied = 0;
+    const auto count = static_cast<spec::CommId>(
+        resident->workload.spec->communicators().size());
+    for (spec::CommId c = 0; c < count; ++c) {
+      if (!evaluator.satisfied(c)) ++unsatisfied;
+    }
+    if (include_report) report = reliability::make_report(evaluator);
+  };
 
-  // Cold path: a full config builds, analyzes, and re-primes the
-  // resident evaluator. Any error leaves the resident state untouched.
-  const auto analyze_cold =
-      [&](impl::ImplementationConfig config)
-      -> Result<reliability::ReliabilityReport> {
+  // Cold path: a full config builds, runs the SRG kernel once, and
+  // primes the resident with that evaluator. Any error leaves the
+  // resident state untouched.
+  const auto analyze_cold = [&](impl::ImplementationConfig config) -> Status {
     LRT_ASSIGN_OR_RETURN(
         const impl::Implementation impl,
         lrt::build_implementation(resident->workload, std::move(config)));
-    LRT_ASSIGN_OR_RETURN(reliability::ReliabilityReport cold,
-                         lrt::analyze(resident->workload, impl));
-    resident->prime(impl);
+    LRT_ASSIGN_OR_RETURN(reliability::SrgEvaluator evaluator,
+                         reliability::evaluate(impl));
+    resident->prime(impl, std::move(evaluator));
     if (s != nullptr) s->counter_add("service.analyze_cold");
-    return cold;
+    return Status::Ok();
   };
 
   if (impl_doc != nullptr) {
     LRT_ASSIGN_OR_RETURN(impl::ImplementationConfig config,
                          impl::implementation_config_from_json(*impl_doc));
-    LRT_ASSIGN_OR_RETURN(reliability::ReliabilityReport cold,
-                         analyze_cold(std::move(config)));
-    summarize(std::move(cold));
+    LRT_RETURN_IF_ERROR(analyze_cold(std::move(config)));
+    summarize();
   } else {
     // Delta addressing: {"task", "hosts", "reexecutions"?} against the
     // resident implementation. Validation mirrors Implementation::Build
@@ -428,37 +391,23 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
 
     const auto t = static_cast<std::size_t>(*task);
     const int reex = new_reex.value_or(resident->reexecutions[t]);
-    if (resident->evaluator.has_value() &&
-        reex == resident->reexecutions[t]) {
+    if (reex == resident->reexecutions[t]) {
       // Hit: one dirty-cone re-propagation; bit-identical to the cold
-      // path by the SrgEvaluator contract.
+      // path by the SrgEvaluator contract. lrtd never rolls a resident
+      // back, so the undo history is dropped at once rather than kept
+      // growing for the resident's lifetime.
       resident->evaluator->set_task_hosts(*task, host_ids);
-      resident->hosts[t] = host_ids;
+      resident->evaluator->discard_trail();
       for (auto& mapping : resident->impl_config.task_mappings) {
         if (mapping.task == task_name) {
           mapping.hosts = host_names;
           break;
         }
       }
-      if (include_report) {
-        summarize(resident->report());
-      } else {
-        // The fast path's whole cost: the propagation already done plus
-        // O(|cset|) flag reads — no report construction at all.
-        const reliability::SrgEvaluator& evaluator = *resident->evaluator;
-        reliable = evaluator.all_lrcs_satisfied();
-        unsatisfied = 0;
-        const auto count =
-            static_cast<spec::CommId>(spec.communicators().size());
-        for (spec::CommId c = 0; c < count; ++c) {
-          if (!evaluator.satisfied(c)) ++unsatisfied;
-        }
-      }
       if (s != nullptr) s->counter_add("service.analyze_hits");
     } else {
-      // Re-execution change or no evaluator (non-cycle-safe spec):
-      // rebuild from the mutated resident config for authoritative
-      // semantics and error bytes.
+      // Re-execution change: rebuild from the mutated resident config
+      // for authoritative semantics and error bytes.
       impl::ImplementationConfig config = resident->impl_config;
       for (auto& mapping : config.task_mappings) {
         if (mapping.task == task_name) {
@@ -467,10 +416,9 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
           break;
         }
       }
-      LRT_ASSIGN_OR_RETURN(reliability::ReliabilityReport rebuilt,
-                           analyze_cold(std::move(config)));
-      summarize(std::move(rebuilt));
+      LRT_RETURN_IF_ERROR(analyze_cold(std::move(config)));
     }
+    summarize();
   }
 
   JsonWriter json;
@@ -483,7 +431,7 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
   json.value(unsatisfied);
   if (report.has_value()) {
     json.key("report");
-    json.raw(reliability::to_json(*report));
+    reliability::write_json(*report, json);
   }
   json.end_object();
   return std::move(json).str();

@@ -1,102 +1,14 @@
 #include "spec/spec_graph.h"
 
-#include <algorithm>
 #include <cassert>
-#include <functional>
 #include <numeric>
 #include <set>
 
 namespace lrt::spec {
-namespace {
-
-/// Iterative Tarjan SCC. Returns the component id of each node; components
-/// are numbered in reverse topological order.
-struct SccResult {
-  std::vector<int> component;  // node -> component id
-  int count = 0;
-  std::vector<bool> nontrivial;  // component id -> has a cycle
-};
-
-SccResult tarjan_scc(const std::vector<std::vector<int>>& adj) {
-  const int n = static_cast<int>(adj.size());
-  SccResult result;
-  result.component.assign(static_cast<std::size_t>(n), -1);
-
-  std::vector<int> index(static_cast<std::size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<std::size_t>(n), 0);
-  std::vector<bool> on_stack(static_cast<std::size_t>(n), false);
-  std::vector<int> stack;
-  int next_index = 0;
-
-  struct Frame {
-    int node;
-    std::size_t child;
-  };
-  std::vector<Frame> frames;
-
-  for (int root = 0; root < n; ++root) {
-    if (index[static_cast<std::size_t>(root)] != -1) continue;
-    frames.push_back({root, 0});
-    index[static_cast<std::size_t>(root)] =
-        lowlink[static_cast<std::size_t>(root)] = next_index++;
-    stack.push_back(root);
-    on_stack[static_cast<std::size_t>(root)] = true;
-
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      const auto u = static_cast<std::size_t>(frame.node);
-      if (frame.child < adj[u].size()) {
-        const int v = adj[u][frame.child++];
-        const auto vs = static_cast<std::size_t>(v);
-        if (index[vs] == -1) {
-          index[vs] = lowlink[vs] = next_index++;
-          stack.push_back(v);
-          on_stack[vs] = true;
-          frames.push_back({v, 0});
-        } else if (on_stack[vs]) {
-          lowlink[u] = std::min(lowlink[u], index[vs]);
-        }
-      } else {
-        if (lowlink[u] == index[u]) {
-          const int comp = result.count++;
-          int popped;
-          int size = 0;
-          do {
-            popped = stack.back();
-            stack.pop_back();
-            on_stack[static_cast<std::size_t>(popped)] = false;
-            result.component[static_cast<std::size_t>(popped)] = comp;
-            ++size;
-          } while (popped != frame.node);
-          // A component is cyclic if it has >1 node or a self-loop.
-          bool cyclic = size > 1;
-          if (!cyclic) {
-            for (const int v : adj[u]) {
-              if (v == frame.node) cyclic = true;
-            }
-          }
-          result.nontrivial.resize(static_cast<std::size_t>(result.count),
-                                   false);
-          result.nontrivial[static_cast<std::size_t>(comp)] = cyclic;
-        }
-        frames.pop_back();
-        if (!frames.empty()) {
-          const auto parent = static_cast<std::size_t>(frames.back().node);
-          lowlink[parent] = std::min(lowlink[parent], lowlink[u]);
-        }
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
 
 SpecificationGraph::SpecificationGraph(const Specification& spec)
     : spec_(spec) {
   build_instance_graph();
-  build_dependency_graph();
-  run_cycle_analysis();
 }
 
 void SpecificationGraph::build_instance_graph() {
@@ -174,91 +86,6 @@ int SpecificationGraph::task_vertex(TaskId task) const {
   return task_vertex_base_[static_cast<std::size_t>(task)];
 }
 
-void SpecificationGraph::build_dependency_graph() {
-  const int num_comms = static_cast<int>(spec_.communicators().size());
-  const int num_tasks = static_cast<int>(spec_.tasks().size());
-  dep_edges_.assign(static_cast<std::size_t>(num_comms + num_tasks), {});
-  dep_edges_cut_.assign(static_cast<std::size_t>(num_comms + num_tasks), {});
-
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    const Task& task = spec_.task(t);
-    const int task_node = num_comms + t;
-    const bool independent = task.model == FailureModel::kIndependent;
-    for (const CommId c : spec_.input_comm_set(t)) {
-      dep_edges_[static_cast<std::size_t>(c)].push_back(task_node);
-      if (!independent) {
-        // Model 3 executes regardless of its inputs, so in the cut graph its
-        // output reliability does not depend on them.
-        dep_edges_cut_[static_cast<std::size_t>(c)].push_back(task_node);
-      }
-    }
-    std::set<CommId> outs;
-    for (const PortRef& port : task.outputs) outs.insert(port.comm);
-    for (const CommId c : outs) {
-      dep_edges_[static_cast<std::size_t>(task_node)].push_back(c);
-      dep_edges_cut_[static_cast<std::size_t>(task_node)].push_back(c);
-    }
-  }
-}
-
-void SpecificationGraph::run_cycle_analysis() {
-  const int num_comms = static_cast<int>(spec_.communicators().size());
-
-  // Communicator cycles: nontrivial SCCs of the full dependency digraph.
-  const SccResult full = tarjan_scc(dep_edges_);
-  std::vector<std::vector<CommId>> by_component(
-      static_cast<std::size_t>(full.count));
-  for (CommId c = 0; c < num_comms; ++c) {
-    const int comp = full.component[static_cast<std::size_t>(c)];
-    if (full.nontrivial[static_cast<std::size_t>(comp)]) {
-      by_component[static_cast<std::size_t>(comp)].push_back(c);
-    }
-  }
-  for (auto& comms : by_component) {
-    if (!comms.empty()) cycles_.push_back(std::move(comms));
-  }
-
-  // Cycle safety: the cut digraph (model-3 input edges removed) must be
-  // acyclic — any surviving cycle contains no independent-model task.
-  const SccResult cut = tarjan_scc(dep_edges_cut_);
-  cycle_safe_ = std::none_of(cut.nontrivial.begin(), cut.nontrivial.end(),
-                             [](bool cyclic) { return cyclic; });
-}
-
-Result<std::vector<CommId>> SpecificationGraph::reliability_order() const {
-  if (!cycle_safe_) {
-    return FailedPreconditionError(
-        "specification '" + spec_.name() +
-        "' has a communicator cycle without an independent-model task; the "
-        "SRG induction is ill-founded:\n" +
-        describe_cycles());
-  }
-  // Kahn's algorithm on the cut digraph, reporting communicators only.
-  const std::size_t n = dep_edges_cut_.size();
-  std::vector<int> indegree(n, 0);
-  for (const auto& adj : dep_edges_cut_) {
-    for (const int v : adj) ++indegree[static_cast<std::size_t>(v)];
-  }
-  std::vector<int> queue;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (indegree[v] == 0) queue.push_back(static_cast<int>(v));
-  }
-  std::vector<CommId> order;
-  const int num_comms = static_cast<int>(spec_.communicators().size());
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const int u = queue[head++];
-    if (u < num_comms) order.push_back(u);
-    for (const int v : dep_edges_cut_[static_cast<std::size_t>(u)]) {
-      if (--indegree[static_cast<std::size_t>(v)] == 0) queue.push_back(v);
-    }
-  }
-  if (order.size() != static_cast<std::size_t>(num_comms)) {
-    return InternalError("topological sort did not visit every communicator");
-  }
-  return order;
-}
-
 std::string SpecificationGraph::to_dot() const {
   std::string out = "digraph \"" + spec_.name() + "\" {\n  rankdir=LR;\n";
   const auto node_name = [this](int v) {
@@ -282,20 +109,6 @@ std::string SpecificationGraph::to_dot() const {
     }
   }
   out += "}\n";
-  return out;
-}
-
-std::string SpecificationGraph::describe_cycles() const {
-  if (cycles_.empty()) return "memory-free (no communicator cycles)";
-  std::string out;
-  for (std::size_t k = 0; k < cycles_.size(); ++k) {
-    out += "cycle " + std::to_string(k) + ": {";
-    for (std::size_t j = 0; j < cycles_[k].size(); ++j) {
-      if (j > 0) out += ", ";
-      out += spec_.communicator(cycles_[k][j]).name;
-    }
-    out += "}\n";
-  }
   return out;
 }
 

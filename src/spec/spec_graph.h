@@ -1,19 +1,13 @@
-// The specification graph G_S of paper Section 3 and the derived
-// dataflow-cycle analyses.
+// The instance-level specification graph G_S of paper Section 3: one
+// vertex per communicator instance (c, i), i in {0..pi_S/pi_c}, and per
+// task — exactly the paper's V_S / E_S (persistence edges are stored
+// between consecutive instances, which preserves reachability with
+// linearly many edges).
 //
-// Two levels are provided:
-//  * the *instance-level* graph, with one vertex per communicator instance
-//    (c, i), i in {0..pi_S/pi_c}, and per task — exactly the paper's V_S /
-//    E_S (persistence edges are stored between consecutive instances, which
-//    preserves reachability with linearly many edges);
-//  * the *dependency digraph* over communicators and tasks (one vertex per
-//    communicator, one per task), which has a cycle iff the instance-level
-//    graph has a communicator cycle. All cycle analyses run here.
-//
-// A specification is *memory-free* iff it has no communicator cycle
-// (Prop. 1's precondition). A specification with cycles is *cycle-safe* iff
-// every communicator cycle contains at least one task with the independent
-// input failure model — the paper's fix for specifications with memory.
+// The dependency-level facts (memory freedom, cycle safety, cycles, the
+// SRG reliability order) are derived once by Specification::Build and
+// read from there; this graph is only needed for the instance-level view
+// (rendering, instance queries).
 #ifndef LRT_SPEC_SPEC_GRAPH_H_
 #define LRT_SPEC_SPEC_GRAPH_H_
 
@@ -56,32 +50,9 @@ class SpecificationGraph {
   /// Index of the task vertex.
   [[nodiscard]] int task_vertex(TaskId task) const;
 
-  // --- cycle analyses (dependency-digraph level) ---
-
-  /// True iff the specification has no communicator cycle.
-  [[nodiscard]] bool is_memory_free() const { return cycles_.empty(); }
-
-  /// True iff every communicator cycle contains a task with
-  /// FailureModel::kIndependent. Memory-free specifications are trivially
-  /// cycle-safe.
-  [[nodiscard]] bool is_cycle_safe() const { return cycle_safe_; }
-
-  /// The communicators involved in cycles, one entry per nontrivial
-  /// strongly connected component of the dependency digraph.
-  [[nodiscard]] const std::vector<std::vector<CommId>>& cycles() const {
-    return cycles_;
-  }
-
-  /// Communicators in an order such that every communicator appears after
-  /// all communicators its SRG depends on, where model-3 tasks cut the
-  /// dependency on their inputs. Fails (kFailedPrecondition) iff the
-  /// specification is not cycle-safe — exactly when the paper's SRG
-  /// induction is ill-founded.
-  [[nodiscard]] Result<std::vector<CommId>> reliability_order() const;
-
-  /// Human-readable multi-line description of the cycle structure,
-  /// for diagnostics.
-  [[nodiscard]] std::string describe_cycles() const;
+  // --- cycle facts (derived once by Specification::Build) ---
+  [[nodiscard]] bool is_memory_free() const { return spec_.is_memory_free(); }
+  [[nodiscard]] bool is_cycle_safe() const { return spec_.is_cycle_safe(); }
 
   /// Graphviz rendering of the instance-level graph: communicator
   /// instances as ellipses "c@i", tasks as boxes; pipe into `dot -Tsvg`.
@@ -89,22 +60,13 @@ class SpecificationGraph {
 
  private:
   void build_instance_graph();
-  void build_dependency_graph();
-  void run_cycle_analysis();
 
   const Specification& spec_;
 
-  // Instance level.
   std::vector<SpecVertex> vertices_;
   std::vector<std::vector<int>> edges_;
   std::vector<int> comm_vertex_base_;  // per comm, index of (c, 0)
   std::vector<int> task_vertex_base_;  // per task
-
-  // Dependency level: node ids are comms [0, C) then tasks [C, C+T).
-  std::vector<std::vector<int>> dep_edges_;       // full
-  std::vector<std::vector<int>> dep_edges_cut_;   // model-3 inputs removed
-  std::vector<std::vector<CommId>> cycles_;
-  bool cycle_safe_ = true;
 };
 
 }  // namespace lrt::spec

@@ -1,6 +1,8 @@
 #include "spec/specification.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
 
 #include "support/math_util.h"
@@ -43,7 +45,174 @@ Status validate_communicator(const Communicator& comm) {
   return Status::Ok();
 }
 
+/// The dependency digraph in compressed sparse row form: nodes are
+/// communicators [0, C), then tasks [C, C+T); the successors of node u
+/// are target[offset[u] .. offset[u+1]).
+struct Digraph {
+  std::vector<std::size_t> offset{0};
+  std::vector<std::size_t> target;
+  [[nodiscard]] std::size_t size() const { return offset.size() - 1; }
+};
+
+/// The communicators on cycles, one ascending list per nontrivial
+/// strongly connected component, components in the reverse topological
+/// order an iterative Tarjan numbers them in.
+std::vector<std::vector<CommId>> cyclic_components(const Digraph& graph,
+                                                   std::size_t num_comms) {
+  constexpr std::size_t kUnvisited = SIZE_MAX;
+  const std::size_t n = graph.size();
+  std::vector<std::size_t> index(n, kUnvisited);
+  std::vector<std::size_t> lowlink(n, 0);
+  std::vector<std::size_t> component(n, 0);
+  std::vector<bool> on_stack(n, false);
+  std::vector<bool> cyclic;  // by component
+  std::vector<std::size_t> stack;
+  std::size_t next_index = 0;
+  struct Frame {
+    std::size_t node;
+    std::size_t edge;
+  };
+  std::vector<Frame> frames;
+  const auto open = [&](std::size_t v) {
+    index[v] = lowlink[v] = next_index++;
+    stack.push_back(v);
+    on_stack[v] = true;
+    frames.push_back({v, graph.offset[v]});
+  };
+
+  for (std::size_t root = 0; root < n; ++root) {
+    if (index[root] != kUnvisited) continue;
+    open(root);
+    while (!frames.empty()) {
+      Frame& frame = frames.back();
+      const std::size_t u = frame.node;
+      if (frame.edge < graph.offset[u + 1]) {
+        const std::size_t v = graph.target[frame.edge++];
+        if (index[v] == kUnvisited) {
+          open(v);
+        } else if (on_stack[v]) {
+          lowlink[u] = std::min(lowlink[u], index[v]);
+        }
+        continue;
+      }
+      frames.pop_back();
+      if (!frames.empty()) {
+        std::size_t& parent = lowlink[frames.back().node];
+        parent = std::min(parent, lowlink[u]);
+      }
+      if (lowlink[u] != index[u]) continue;
+      // u roots a component. The digraph is bipartite (no self-loops),
+      // so the component is cyclic iff it has more than one node.
+      std::size_t popped;
+      std::size_t size = 0;
+      do {
+        popped = stack.back();
+        stack.pop_back();
+        on_stack[popped] = false;
+        component[popped] = cyclic.size();
+        ++size;
+      } while (popped != u);
+      cyclic.push_back(size > 1);
+    }
+  }
+
+  std::vector<std::vector<CommId>> by_component(cyclic.size());
+  for (std::size_t c = 0; c < num_comms; ++c) {
+    if (cyclic[component[c]]) {
+      by_component[component[c]].push_back(static_cast<CommId>(c));
+    }
+  }
+  std::erase_if(by_component, [](const auto& comms) { return comms.empty(); });
+  return by_component;
+}
+
+/// Kahn's algorithm: the communicators in visit order, or nullopt when
+/// the digraph has a cycle.
+std::optional<std::vector<CommId>> topological_comms(const Digraph& graph,
+                                                     std::size_t num_comms) {
+  std::vector<std::size_t> indegree(graph.size(), 0);
+  for (const std::size_t v : graph.target) ++indegree[v];
+  std::vector<std::size_t> queue;
+  for (std::size_t v = 0; v < graph.size(); ++v) {
+    if (indegree[v] == 0) queue.push_back(v);
+  }
+  std::vector<CommId> order;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::size_t u = queue[head];
+    if (u < num_comms) order.push_back(static_cast<CommId>(u));
+    for (std::size_t e = graph.offset[u]; e < graph.offset[u + 1]; ++e) {
+      if (--indegree[graph.target[e]] == 0) queue.push_back(graph.target[e]);
+    }
+  }
+  if (queue.size() != graph.size()) return std::nullopt;
+  return order;
+}
+
 }  // namespace
+
+void Specification::derive_graph_facts() {
+  // c -> t when t reads c, t -> c when t writes c (distinct, ascending).
+  // The cut digraph drops the input edges of independent-model tasks:
+  // model 3 executes regardless of its inputs, so its output reliability
+  // does not depend on them.
+  const std::size_t num_comms = communicators_.size();
+  Digraph full;
+  Digraph cut;
+  for (std::size_t c = 0; c < num_comms; ++c) {
+    for (const TaskId t : readers_[c]) {
+      const std::size_t node = num_comms + static_cast<std::size_t>(t);
+      full.target.push_back(node);
+      if (task(t).model != FailureModel::kIndependent) {
+        cut.target.push_back(node);
+      }
+    }
+    full.offset.push_back(full.target.size());
+    cut.offset.push_back(cut.target.size());
+  }
+  for (const Task& t : tasks_) {
+    const auto first = static_cast<std::ptrdiff_t>(full.target.size());
+    for (const PortRef& port : t.outputs) {
+      full.target.push_back(static_cast<std::size_t>(port.comm));
+    }
+    std::sort(full.target.begin() + first, full.target.end());
+    full.target.erase(
+        std::unique(full.target.begin() + first, full.target.end()),
+        full.target.end());
+    cut.target.insert(cut.target.end(), full.target.begin() + first,
+                      full.target.end());
+    full.offset.push_back(full.target.size());
+    cut.offset.push_back(cut.target.size());
+  }
+
+  // Tarjan only when Kahn finds a cycle: most specifications are acyclic.
+  if (!topological_comms(full, num_comms)) {
+    cycles_ = cyclic_components(full, num_comms);
+  }
+  std::optional<std::vector<CommId>> order = topological_comms(cut, num_comms);
+  cycle_safe_ = order.has_value();
+  if (cycle_safe_) reliability_order_ = std::move(*order);
+}
+
+std::string Specification::describe_cycles() const {
+  if (cycles_.empty()) return "memory-free (no communicator cycles)";
+  std::string out;
+  for (std::size_t k = 0; k < cycles_.size(); ++k) {
+    out += "cycle " + std::to_string(k) + ": {";
+    for (std::size_t j = 0; j < cycles_[k].size(); ++j) {
+      if (j > 0) out += ", ";
+      out += communicator(cycles_[k][j]).name;
+    }
+    out += "}\n";
+  }
+  return out;
+}
+
+Status Specification::require_cycle_safe(std::string_view what) const {
+  if (cycle_safe_) return Status::Ok();
+  return FailedPreconditionError(std::string(what) +
+                                 " requires a cycle-safe specification:\n" +
+                                 describe_cycles());
+}
 
 Result<Specification> Specification::Build(SpecificationConfig config) {
   Specification spec;
@@ -223,6 +392,7 @@ Result<Specification> Specification::Build(SpecificationConfig config) {
   const Time rounds = std::max<Time>(1, ceil_div(max_write, spec.base_lcm_));
   spec.hyperperiod_ = spec.base_lcm_ * rounds;
 
+  spec.derive_graph_facts();
   return spec;
 }
 

@@ -124,6 +124,44 @@ class Specification {
     return hyperperiod_ / communicator(id).period;
   }
 
+  // --- dependency-level graph facts (paper Section 3) ---
+  // Derived once at Build time from the dependency digraph over
+  // communicators and tasks (c -> t when t reads c, t -> c when t writes
+  // c), which has a cycle iff the instance-level graph G_S has a
+  // communicator cycle. The instance-level graph itself lives in
+  // SpecificationGraph.
+
+  /// True iff the specification has no communicator cycle (Prop. 1's
+  /// precondition).
+  [[nodiscard]] bool is_memory_free() const { return cycles_.empty(); }
+
+  /// True iff every communicator cycle contains a task with
+  /// FailureModel::kIndependent — the paper's fix for specifications with
+  /// memory. Memory-free specifications are trivially cycle-safe.
+  [[nodiscard]] bool is_cycle_safe() const { return cycle_safe_; }
+
+  /// The communicators involved in cycles, one entry per nontrivial
+  /// strongly connected component of the dependency digraph.
+  [[nodiscard]] const std::vector<std::vector<CommId>>& cycles() const {
+    return cycles_;
+  }
+
+  /// Communicators in an order such that every communicator appears after
+  /// all communicators its SRG depends on, where model-3 tasks cut the
+  /// dependency on their inputs. Empty iff !is_cycle_safe() — exactly
+  /// when the paper's SRG induction is ill-founded.
+  [[nodiscard]] const std::vector<CommId>& reliability_order() const {
+    return reliability_order_;
+  }
+
+  /// Human-readable multi-line description of the cycle structure, for
+  /// diagnostics.
+  [[nodiscard]] std::string describe_cycles() const;
+
+  /// Ok when cycle-safe; otherwise kFailedPrecondition reading
+  /// "<what> requires a cycle-safe specification:\n<describe_cycles()>".
+  [[nodiscard]] Status require_cycle_safe(std::string_view what) const;
+
   /// Reconstructs a by-name config equivalent to this specification, with
   /// the Build-time materialized defaults and the task functions carried
   /// over. Build(to_config()) round-trips; spec::to_json(to_config())
@@ -132,6 +170,9 @@ class Specification {
 
  private:
   Specification() = default;
+
+  /// Fills the graph facts from the dependency digraph.
+  void derive_graph_facts();
 
   std::string name_;
   std::vector<Communicator> communicators_;
@@ -146,6 +187,9 @@ class Specification {
   Time base_lcm_ = 1;
   Time base_period_ = 1;
   Time hyperperiod_ = 1;
+  std::vector<std::vector<CommId>> cycles_;
+  std::vector<CommId> reliability_order_;
+  bool cycle_safe_ = true;
 };
 
 }  // namespace lrt::spec

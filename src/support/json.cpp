@@ -1,6 +1,7 @@
 #include "support/json.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
@@ -66,7 +67,7 @@ void JsonWriter::value(std::string_view text) {
 void JsonWriter::value(double number) {
   comma_if_needed();
   if (std::isfinite(number)) {
-    out_ += format_double(number);
+    append_double(out_, number);
   } else {
     out_ += "null";  // JSON has no Inf/NaN
   }
@@ -74,7 +75,9 @@ void JsonWriter::value(double number) {
 
 void JsonWriter::value(std::int64_t number) {
   comma_if_needed();
-  out_ += std::to_string(number);
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, number);
+  out_.append(buffer, result.ptr);
 }
 
 void JsonWriter::value(bool flag) {
@@ -428,24 +431,28 @@ Status json_check_schema(const JsonValue& object, std::int64_t version,
 }
 
 void JsonWriter::write_escaped(std::string_view text) {
-  for (const char c : text) {
+  // Runs of characters that need no escape are appended in one call.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out_ += "\\\""; break;
       case '\\': out_ += "\\\\"; break;
       case '\n': out_ += "\\n"; break;
       case '\r': out_ += "\\r"; break;
       case '\t': out_ += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out_ += buffer;
-        } else {
-          out_ += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out_ += "\\u00";
+        out_ += kHex[c >> 4];
+        out_ += kHex[c & 0xf];
+      }
     }
   }
+  out_.append(text, run);
 }
 
 }  // namespace lrt

@@ -1,7 +1,7 @@
 #include "support/strings.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 
 namespace lrt {
 
@@ -57,10 +57,18 @@ bool is_identifier(std::string_view name) {
   return true;
 }
 
+void append_double(std::string& out, double value) {
+  // C++17 defines to_chars(general, precision) as printf's %.*g.
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                    std::chars_format::general, 12);
+  out.append(buffer, result.ptr);
+}
+
 std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.12g", value);
-  return buffer;
+  std::string out;
+  append_double(out, value);
+  return out;
 }
 
 }  // namespace lrt

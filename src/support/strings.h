@@ -25,8 +25,11 @@ namespace lrt {
 /// True iff `name` is a valid lrt identifier: [A-Za-z_][A-Za-z0-9_]*.
 [[nodiscard]] bool is_identifier(std::string_view name);
 
-/// Formats a double with enough digits to round-trip (%.12g).
+/// Formats a double with enough digits to round-trip: the spelling of
+/// printf's %.12g, produced by std::to_chars.
 [[nodiscard]] std::string format_double(double value);
+/// Appends format_double(value) to `out` without a temporary string.
+void append_double(std::string& out, double value);
 
 }  // namespace lrt
 

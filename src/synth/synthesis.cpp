@@ -8,7 +8,6 @@
 
 #include "reliability/analysis.h"
 #include "sched/schedulability.h"
-#include "spec/spec_graph.h"
 #include "synth/fast_engine.h"
 
 namespace lrt::synth {
@@ -289,12 +288,7 @@ Result<SynthesisResult> synthesize_impl(
     const spec::Specification& spec, const arch::Architecture& arch,
     std::vector<impl::ImplementationConfig::SensorBinding> sensor_bindings,
     const SynthesisOptions& options) {
-  const spec::SpecificationGraph graph(spec);
-  if (!graph.is_cycle_safe()) {
-    return FailedPreconditionError(
-        "synthesis requires a cycle-safe specification:\n" +
-        graph.describe_cycles());
-  }
+  LRT_RETURN_IF_ERROR(spec.require_cycle_safe("synthesis"));
   if (options.max_replication_per_task < 1) {
     return InvalidArgumentError("max_replication_per_task must be >= 1");
   }

@@ -110,10 +110,11 @@ TEST(EventQueue, CancellingWholeBucketLeavesQueueConsistent) {
   EventQueue queue(/*bucket_width=*/10, /*num_buckets=*/4);
   std::vector<EventQueue::Handle> handles;
   for (spec::Time t = 0; t < 12; ++t) {
-    handles.push_back(queue.schedule(t, EventClass::kCommAccess, t));
+    handles.push_back(queue.schedule(t, EventClass::kCommAccess,
+                                     static_cast<std::uint64_t>(t)));
   }
   // Tombstone the entire first bucket [0, 10).
-  for (spec::Time t = 0; t < 10; ++t) EXPECT_TRUE(queue.cancel(handles[t]));
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_TRUE(queue.cancel(handles[i]));
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.pop().payload, 10u);
   EXPECT_EQ(queue.pop().payload, 11u);
@@ -175,7 +176,7 @@ TEST(EventQueue, WheelResizesWithPopulation) {
   EXPECT_EQ(queue.num_buckets(), 32u);
   const std::int64_t grow_resizes = queue.stats().resizes;
   EXPECT_EQ(grow_resizes, 4);
-  for (spec::Time t = 0; t < 99; ++t) EXPECT_TRUE(queue.cancel(handles[t]));
+  for (std::size_t i = 0; i < 99; ++i) EXPECT_TRUE(queue.cancel(handles[i]));
   EXPECT_LT(queue.num_buckets(), 32u);
   EXPECT_GE(queue.num_buckets(), 2u);
   EXPECT_GT(queue.stats().resizes, grow_resizes);
@@ -249,7 +250,7 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
   Xoshiro256 rng(20260808);
   for (int round = 0; round < 20; ++round) {
     EventQueue queue(/*bucket_width=*/1 + round % 5,
-                     /*num_buckets=*/2 + round % 7);
+                     /*num_buckets=*/static_cast<std::size_t>(2 + round % 7));
     std::vector<std::pair<EventQueue::Handle, Key>> live;
     spec::Time horizon = 0;
     for (int op = 0; op < 400; ++op) {

@@ -1,8 +1,9 @@
-// Differential tests for the incremental SRG evaluator: its SRGs must be
-// BIT-identical (==, not approximately equal) to reliability::analyze's
-// from-scratch induction, across randomized workloads, random single-task
-// host-set mutations, and undo-trail rollbacks — the contract the fast
-// synthesis engine's correctness rests on.
+// Differential tests for the SRG kernel (reliability::SrgEvaluator, which
+// reliability::analyze and the synthesis/lrtd fast paths all run on): its
+// SRGs must be BIT-identical (==, not approximately equal) to the
+// independent induction oracle of tests/srg_oracle.h, across randomized
+// workloads (acyclic and cycle-safe cyclic), random single-task host-set
+// mutations, and undo-trail rollbacks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "reliability/analysis.h"
 #include "reliability/incremental.h"
 #include "support/rng.h"
+#include "tests/srg_oracle.h"
 #include "tests/test_util.h"
 
 namespace lrt::reliability {
@@ -49,34 +51,48 @@ impl::Implementation rebuild(
   return std::move(result).value();
 }
 
-/// Asserts eval's full state equals analyze()'s for `impl`, bitwise.
+/// Asserts eval's full state equals the oracle's for `impl`, bitwise, and
+/// that the verdict layer (analyze, compute_srgs) reports that state.
 void expect_bit_identical(const SrgEvaluator& eval,
                           const impl::Implementation& impl,
                           const std::string& context) {
-  const auto srgs = compute_srgs(impl);
-  ASSERT_TRUE(srgs.ok()) << context << ": " << srgs.status();
-  ASSERT_EQ(eval.srgs().size(), srgs->size()) << context;
-  for (std::size_t c = 0; c < srgs->size(); ++c) {
-    EXPECT_EQ(eval.srgs()[c], (*srgs)[c]) << context << " comm " << c;
+  const std::vector<double> srgs = test::oracle_srgs(impl);
+  ASSERT_EQ(eval.srgs().size(), srgs.size()) << context;
+  for (std::size_t c = 0; c < srgs.size(); ++c) {
+    EXPECT_EQ(eval.srgs()[c], srgs[c]) << context << " comm " << c;
   }
   const spec::Specification& spec = impl.specification();
   for (spec::TaskId t = 0; t < static_cast<spec::TaskId>(spec.tasks().size());
        ++t) {
-    EXPECT_EQ(eval.task_lambda(t), task_reliability(impl, t))
+    EXPECT_EQ(eval.task_lambda(t), test::oracle_task_lambda(impl, t))
         << context << " task " << t;
   }
+  bool reliable = true;
+  for (spec::CommId c = 0; c < static_cast<spec::CommId>(srgs.size()); ++c) {
+    const double lrc = spec.communicator(c).lrc;
+    const auto cs = static_cast<std::size_t>(c);
+    EXPECT_EQ(eval.satisfied(c), approx_ge(srgs[cs], lrc))
+        << context << " comm " << c;
+    EXPECT_EQ(eval.slack(c), srgs[cs] - lrc) << context << " comm " << c;
+    reliable = reliable && approx_ge(srgs[cs], lrc);
+  }
+  EXPECT_EQ(eval.all_lrcs_satisfied(), reliable) << context;
+
+  const auto computed = compute_srgs(impl);
+  ASSERT_TRUE(computed.ok()) << context << ": " << computed.status();
+  EXPECT_EQ(*computed, srgs) << context;
   const auto report = analyze(impl);
   ASSERT_TRUE(report.ok()) << context;
-  EXPECT_EQ(eval.all_lrcs_satisfied(), report->reliable) << context;
+  EXPECT_EQ(report->reliable, reliable) << context;
   for (const CommunicatorVerdict& verdict : report->verdicts) {
-    EXPECT_EQ(eval.satisfied(verdict.comm), verdict.satisfied)
-        << context << " comm " << verdict.comm;
-    EXPECT_EQ(eval.slack(verdict.comm), verdict.slack)
+    const auto cs = static_cast<std::size_t>(verdict.comm);
+    EXPECT_EQ(verdict.srg, srgs[cs]) << context << " comm " << verdict.comm;
+    EXPECT_EQ(verdict.satisfied, eval.satisfied(verdict.comm))
         << context << " comm " << verdict.comm;
   }
 }
 
-TEST(SrgEvaluator, MatchesAnalyzeOnRandomWorkloads) {
+TEST(SrgEvaluator, MatchesOracleOnRandomWorkloads) {
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Xoshiro256 rng(seed);
     const auto workload = gen::random_workload(rng, workload_options());
@@ -89,7 +105,7 @@ TEST(SrgEvaluator, MatchesAnalyzeOnRandomWorkloads) {
   }
 }
 
-TEST(SrgEvaluator, MatchesAnalyzeUnderRandomSingleTaskMutations) {
+TEST(SrgEvaluator, MatchesOracleUnderRandomSingleTaskMutations) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Xoshiro256 rng(seed * 7919 + 1);
     const auto workload = gen::random_workload(rng, workload_options());
@@ -129,6 +145,46 @@ TEST(SrgEvaluator, MatchesAnalyzeUnderRandomSingleTaskMutations) {
                     static_cast<std::int64_t>(spec.communicators().size()));
     }
   }
+}
+
+TEST(SrgEvaluator, MatchesOracleOnCycleSafeCyclicSpecs) {
+  // Dataflow cycles cut by independent-model tasks: the cached
+  // reliability order, not a plain layering, drives the kernel.
+  Xoshiro256 rng(2718);
+  int cyclic = 0;
+  for (int i = 0; i < 200; ++i) {
+    spec::SpecificationConfig config = test::random_cyclic_spec(rng, i);
+    const spec::Specification probe = test::build_spec(config);
+    if (!probe.is_cycle_safe()) continue;
+    if (!probe.is_memory_free()) ++cyclic;
+    const test::System system = test::single_host_system(
+        std::move(config), 0.8 + 0.01 * (i % 10), 0.9);
+    auto eval = SrgEvaluator::FromImplementation(*system.impl);
+    ASSERT_TRUE(eval.ok()) << eval.status();
+    expect_bit_identical(*eval, *system.impl, system.spec->name());
+  }
+  EXPECT_GE(cyclic, 20);
+}
+
+TEST(SrgEvaluator, RejectsUnsafeCyclesLikeAnalyze) {
+  Xoshiro256 rng(31);
+  int unsafe = 0;
+  for (int i = 0; i < 100; ++i) {
+    const test::System system =
+        test::single_host_system(test::random_cyclic_spec(rng, i));
+    if (system.spec->is_cycle_safe()) continue;
+    ++unsafe;
+    EXPECT_EQ(SrgEvaluator::FromImplementation(*system.impl).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(compute_srgs(*system.impl).status().code(),
+              StatusCode::kFailedPrecondition);
+    const auto report = analyze(*system.impl);
+    EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(report.status().message().find(
+                  "reliability analysis requires a cycle-safe specification"),
+              std::string::npos);
+  }
+  EXPECT_GE(unsafe, 10);
 }
 
 TEST(SrgEvaluator, RollbackRestoresBitIdenticalState) {

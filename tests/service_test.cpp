@@ -4,13 +4,16 @@
 // admission control, worker-count-independent response bytes).
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,6 +36,7 @@
 #include "spec/specification.h"
 #include "support/json.h"
 #include "support/status.h"
+#include "tests/test_util.h"
 
 namespace lrt::service {
 namespace {
@@ -256,6 +260,52 @@ TEST(Service, MutateHitIsByteIdenticalToColdRebuild) {
       make_frame("m1", "analyze",
                  cold_analyze_extra(make_impl_config({"h2"}))));
   EXPECT_EQ(hit, rebuilt);
+}
+
+/// Bytes the process holds from malloc (arena plus mmapped chunks).
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = ::mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(Service, MutateHitsDoNotRetainUndoHistory) {
+  // A 64-task chain: flipping the head task's host set changes its
+  // lambda and with it every downstream SRG, so each hit rewrites 65
+  // evaluator slots. lrtd never rolls a resident evaluator back, so none
+  // of that undo history may outlive the request that made it.
+  const spec::SpecificationConfig spec_config = test::chain_spec_config(64);
+  arch::ArchitectureConfig arch_config = make_arch_config();
+  impl::ImplementationConfig impl_config;
+  for (const auto& task : spec_config.tasks) {
+    impl_config.task_mappings.push_back({task.name, {"h1"}, 0, 0, 0});
+  }
+  impl_config.sensor_bindings = {{"c0", "gauge"}};
+  Service service;
+  const std::string cold = handle_ok(
+      service, make_frame("cold", "analyze",
+                          "\"spec\":" + spec::to_json(spec_config) +
+                              ",\"arch\":" + arch::to_json(arch_config) +
+                              ",\"implementation\":" +
+                              impl::to_json(impl_config)));
+  const std::string fp = response_fingerprint(cold);
+  const auto flip = [&](int i) {
+    const std::vector<std::string> hosts =
+        i % 2 == 0 ? std::vector<std::string>{"h1", "h2"}
+                   : std::vector<std::string>{"h1"};
+    handle_ok(service, make_frame("m" + std::to_string(i), "analyze",
+                                  mutate_extra(fp, "task1", hosts)));
+  };
+  // Past the idempotency bound first, so the replay cache is in steady
+  // state before the measured window.
+  const int warmup = static_cast<int>(
+      ServiceOptions{}.max_idempotency_entries + 100);
+  for (int i = 0; i < warmup; ++i) flip(i);
+  const std::size_t before = heap_in_use();
+  for (int i = warmup; i < warmup + 4000; ++i) flip(i);
+  const std::size_t after = heap_in_use();
+  // Retained history would be 4000 x 65 x 16 bytes (> 4 MB).
+  EXPECT_LT(after, before + (std::size_t{1} << 20))
+      << "heap grew by " << (after - before) << " bytes over 4000 hits";
 }
 
 TEST(Service, MutateDefaultsToCompactVerdict) {
@@ -621,14 +671,28 @@ TEST(Server, ResponseBytesAreIndependentOfWorkerCount) {
 }
 
 TEST(Server, ShedsBeyondPendingBoundWithoutPoisoningState) {
+  // The admission gate holds the validate inside the single worker until
+  // the flood ping has been answered: the validate owns the one pending
+  // slot for that whole window, so the ping is shed by construction.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool validate_in_flight = false;
+  bool release_validate = false;
   ServerOptions options;
   options.socket_path = test_socket_path("shed");
   options.threads = 1;
   options.max_pending = 1;
+  options.admission_gate = [&](std::string_view frame) {
+    if (!contains(frame, "\"id\":\"v1\"")) return;
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    validate_in_flight = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return release_validate; });
+  };
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().to_string();
 
-  // While a slow validate occupies the single pending slot, every frame
+  // While the validate occupies the single pending slot, every frame
   // the reader sees is shed with a typed kUnavailable reply.
   auto client = Client::Connect(options.socket_path);
   ASSERT_TRUE(client.ok());
@@ -638,12 +702,9 @@ TEST(Server, ShedsBeyondPendingBoundWithoutPoisoningState) {
       "\"spec\":" + spec::to_json(make_spec_config()) +
           ",\"arch\":" + arch::to_json(make_arch_config()) +
           ",\"implementation\":" + impl::to_json(make_impl_config({"h1"})) +
-          ",\"trials\":4000,\"periods\":60,\"seed\":11");
+          ",\"trials\":40,\"periods\":60,\"seed\":11");
 
-  // Client::call is lockstep, so drive the flood through the shed
-  // window: the validate stays in flight (pending == max_pending) while
-  // its response is unwritten, and every frame the reader sees in that
-  // window is shed. Sending via a second connection keeps the first
+  // Sending the flood via a second connection keeps the first
   // connection's FIFO intact.
   auto flood = Client::Connect(options.socket_path);
   ASSERT_TRUE(flood.ok());
@@ -654,19 +715,25 @@ TEST(Server, ShedsBeyondPendingBoundWithoutPoisoningState) {
     EXPECT_TRUE(contains(*response, "\"ok\":true")) << *response;
     EXPECT_TRUE(contains(*response, "\"validation\"")) << *response;
   });
-
-  // Retry pings until one lands inside the validate's service window and
-  // is shed. The single worker guarantees the window exists.
-  bool shed_seen = false;
-  for (int i = 0; i < 2000 && !shed_seen; ++i) {
-    auto response = flood->call(make_frame("f" + std::to_string(i), "ping"));
-    ASSERT_TRUE(response.ok());
-    if (contains(*response, "\"code\":\"kUnavailable\"")) {
-      EXPECT_TRUE(contains(*response, "overloaded")) << *response;
-      shed_seen = true;
-    }
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return validate_in_flight; });
   }
+
+  auto response = flood->call(make_frame("f0", "ping"));
+  // Release the validate before any assertion can end the test early.
+  {
+    const std::lock_guard<std::mutex> lock(gate_mutex);
+    release_validate = true;
+  }
+  gate_cv.notify_all();
   slow.join();
+  bool shed_seen = false;
+  ASSERT_TRUE(response.ok());
+  if (contains(*response, "\"code\":\"kUnavailable\"")) {
+    EXPECT_TRUE(contains(*response, "overloaded")) << *response;
+    shed_seen = true;
+  }
   EXPECT_TRUE(shed_seen);
 
   // Shedding poisons nothing: the same connection still analyzes. A
@@ -674,7 +741,10 @@ TEST(Server, ShedsBeyondPendingBoundWithoutPoisoningState) {
   // pending slot frees a moment after its response is written), so
   // retry with fresh ids until admitted.
   bool analyzed = false;
-  for (int i = 0; i < 100 && !analyzed; ++i) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  for (int i = 0; !analyzed && std::chrono::steady_clock::now() < give_up;
+       ++i) {
     auto cold = flood->call(
         make_frame("c" + std::to_string(i), "analyze",
                    cold_analyze_extra(make_impl_config({"h1", "h2"}))));

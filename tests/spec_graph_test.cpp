@@ -1,6 +1,7 @@
-// Unit tests for the specification graph: instance-level structure,
-// communicator-cycle detection (memory-freedom), cycle safety, and the
-// reliability (topological) order.
+// Unit tests for the specification graph: instance-level structure, and
+// the dependency facts Specification::Build caches — communicator-cycle
+// detection (memory-freedom), cycle safety, and the reliability
+// (topological) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +21,7 @@ TEST(SpecGraph, ChainIsMemoryFree) {
   const SpecificationGraph graph(spec);
   EXPECT_TRUE(graph.is_memory_free());
   EXPECT_TRUE(graph.is_cycle_safe());
-  EXPECT_TRUE(graph.cycles().empty());
+  EXPECT_TRUE(spec.cycles().empty());
 }
 
 TEST(SpecGraph, SelfLoopDetected) {
@@ -33,8 +34,8 @@ TEST(SpecGraph, SelfLoopDetected) {
   const SpecificationGraph graph(spec);
   EXPECT_FALSE(graph.is_memory_free());
   EXPECT_FALSE(graph.is_cycle_safe());  // model 1 task in the cycle
-  ASSERT_EQ(graph.cycles().size(), 1u);
-  EXPECT_EQ(graph.cycles()[0].size(), 1u);
+  ASSERT_EQ(spec.cycles().size(), 1u);
+  EXPECT_EQ(spec.cycles()[0].size(), 1u);
 }
 
 TEST(SpecGraph, SelfLoopWithIndependentModelIsCycleSafe) {
@@ -58,8 +59,8 @@ TEST(SpecGraph, TwoTaskCycleDetected) {
   const SpecificationGraph graph(spec);
   EXPECT_FALSE(graph.is_memory_free());
   EXPECT_FALSE(graph.is_cycle_safe());
-  ASSERT_EQ(graph.cycles().size(), 1u);
-  EXPECT_EQ(graph.cycles()[0].size(), 2u);
+  ASSERT_EQ(spec.cycles().size(), 1u);
+  EXPECT_EQ(spec.cycles()[0].size(), 2u);
 }
 
 TEST(SpecGraph, OneIndependentTaskMakesTwoTaskCycleSafe) {
@@ -90,16 +91,14 @@ TEST(SpecGraph, IndependentTaskOutsideCycleDoesNotHelp) {
 TEST(SpecGraph, ReliabilityOrderRespectsDependencies) {
   const Specification spec =
       test::build_spec(test::chain_spec_config(/*tasks=*/4));
-  const SpecificationGraph graph(spec);
-  const auto order = graph.reliability_order();
-  ASSERT_TRUE(order.ok());
-  ASSERT_EQ(order->size(), spec.communicators().size());
+  const std::vector<CommId>& order = spec.reliability_order();
+  ASSERT_EQ(order.size(), spec.communicators().size());
   // c0 must come before c1, c1 before c2, ...
-  std::vector<std::size_t> position(order->size());
-  for (std::size_t i = 0; i < order->size(); ++i) {
-    position[static_cast<std::size_t>((*order)[i])] = i;
+  std::vector<std::size_t> position(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    position[static_cast<std::size_t>(order[i])] = i;
   }
-  for (std::size_t c = 0; c + 1 < order->size(); ++c) {
+  for (std::size_t c = 0; c + 1 < order.size(); ++c) {
     EXPECT_LT(position[c], position[c + 1])
         << "c" << c << " must precede c" << c + 1;
   }
@@ -111,8 +110,8 @@ TEST(SpecGraph, ReliabilityOrderFailsOnUnsafeCycle) {
   config.tasks = {task("t1", {{"a", 0}}, {{"b", 1}}),
                   task("t2", {{"b", 0}}, {{"a", 1}})};
   const Specification spec = test::build_spec(std::move(config));
-  const SpecificationGraph graph(spec);
-  EXPECT_EQ(graph.reliability_order().status().code(),
+  EXPECT_TRUE(spec.reliability_order().empty());
+  EXPECT_EQ(spec.require_cycle_safe("the SRG induction").code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -123,8 +122,8 @@ TEST(SpecGraph, ReliabilityOrderSucceedsOnSafeCycle) {
       task("t1", {{"a", 0}}, {{"b", 1}}, FailureModel::kIndependent),
       task("t2", {{"b", 0}}, {{"a", 1}})};
   const Specification spec = test::build_spec(std::move(config));
-  const SpecificationGraph graph(spec);
-  EXPECT_TRUE(graph.reliability_order().ok());
+  EXPECT_EQ(spec.reliability_order().size(), 2u);
+  EXPECT_TRUE(spec.require_cycle_safe("the SRG induction").ok());
 }
 
 TEST(SpecGraph, InstanceLevelVertexCount) {
@@ -194,15 +193,13 @@ TEST(SpecGraph, DescribeCyclesMentionsCommunicators) {
   config.communicators = {comm("alpha", 2)};
   config.tasks = {task("t", {{"alpha", 0}}, {{"alpha", 1}})};
   const Specification spec = test::build_spec(std::move(config));
-  const SpecificationGraph graph(spec);
-  EXPECT_NE(graph.describe_cycles().find("alpha"), std::string::npos);
+  EXPECT_NE(spec.describe_cycles().find("alpha"), std::string::npos);
 }
 
 TEST(SpecGraph, DescribeCyclesMemoryFreeText) {
   const Specification spec =
       test::build_spec(test::chain_spec_config(/*tasks=*/2));
-  const SpecificationGraph graph(spec);
-  EXPECT_EQ(graph.describe_cycles(), "memory-free (no communicator cycles)");
+  EXPECT_EQ(spec.describe_cycles(), "memory-free (no communicator cycles)");
 }
 
 TEST(SpecGraph, DescribeCyclesSelfLoopFormat) {
@@ -210,8 +207,7 @@ TEST(SpecGraph, DescribeCyclesSelfLoopFormat) {
   config.communicators = {comm("c", 2)};
   config.tasks = {task("t", {{"c", 0}}, {{"c", 1}})};
   const Specification spec = test::build_spec(std::move(config));
-  const SpecificationGraph graph(spec);
-  EXPECT_EQ(graph.describe_cycles(), "cycle 0: {c}\n");
+  EXPECT_EQ(spec.describe_cycles(), "cycle 0: {c}\n");
 }
 
 TEST(SpecGraph, InterlockingCyclesMergeIntoOneComponent) {
@@ -226,9 +222,9 @@ TEST(SpecGraph, InterlockingCyclesMergeIntoOneComponent) {
   const Specification spec = test::build_spec(std::move(config));
   const SpecificationGraph graph(spec);
   EXPECT_FALSE(graph.is_memory_free());
-  ASSERT_EQ(graph.cycles().size(), 1u);
-  EXPECT_EQ(graph.cycles()[0].size(), 3u);
-  const std::string text = graph.describe_cycles();
+  ASSERT_EQ(spec.cycles().size(), 1u);
+  EXPECT_EQ(spec.cycles()[0].size(), 3u);
+  const std::string text = spec.describe_cycles();
   EXPECT_NE(text.find("b"), std::string::npos);
   EXPECT_NE(text.find("c"), std::string::npos);
   EXPECT_NE(text.find("d"), std::string::npos);
@@ -244,9 +240,8 @@ TEST(SpecGraph, DisjointCyclesReportedSeparately) {
                   task("t3", {{"c", 0}}, {{"d", 1}}),
                   task("t4", {{"d", 0}}, {{"c", 1}})};
   const Specification spec = test::build_spec(std::move(config));
-  const SpecificationGraph graph(spec);
-  EXPECT_EQ(graph.cycles().size(), 2u);
-  const std::string text = graph.describe_cycles();
+  EXPECT_EQ(spec.cycles().size(), 2u);
+  const std::string text = spec.describe_cycles();
   EXPECT_NE(text.find("cycle 0"), std::string::npos);
   EXPECT_NE(text.find("cycle 1"), std::string::npos);
 }
@@ -264,7 +259,7 @@ TEST(SpecGraph, CycleBrokenByIndependentTaskStillDescribed) {
   const SpecificationGraph graph(spec);
   EXPECT_TRUE(graph.is_cycle_safe());
   EXPECT_FALSE(graph.is_memory_free());
-  const std::string text = graph.describe_cycles();
+  const std::string text = spec.describe_cycles();
   EXPECT_NE(text.find("a"), std::string::npos);
   EXPECT_NE(text.find("b"), std::string::npos);
 }

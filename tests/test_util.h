@@ -4,12 +4,14 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "arch/architecture.h"
 #include "impl/implementation.h"
 #include "spec/specification.h"
+#include "support/rng.h"
 
 namespace lrt::test {
 
@@ -19,6 +21,15 @@ struct System {
   std::unique_ptr<arch::Architecture> arch;
   std::unique_ptr<impl::Implementation> impl;
 };
+
+/// `prefix` followed by the decimal `index` ("c", 3 -> "c3"). Appended
+/// piecewise: `"c" + std::to_string(i)` trips a GCC 12 -Wrestrict false
+/// positive at -O3.
+inline std::string indexed(std::string_view prefix, std::int64_t index) {
+  std::string out(prefix);
+  out += std::to_string(index);
+  return out;
+}
 
 /// Shorthand for a real-typed communicator declaration.
 inline spec::Communicator comm(std::string name, spec::Time period,
@@ -60,12 +71,11 @@ inline spec::SpecificationConfig chain_spec_config(int tasks,
   spec::SpecificationConfig config;
   config.name = "chain";
   for (int i = 0; i <= tasks; ++i) {
-    config.communicators.push_back(comm("c" + std::to_string(i), period, lrc));
+    config.communicators.push_back(comm(indexed("c", i), period, lrc));
   }
   for (int i = 0; i < tasks; ++i) {
-    config.tasks.push_back(task("task" + std::to_string(i + 1),
-                                {{"c" + std::to_string(i), i}},
-                                {{"c" + std::to_string(i + 1), i + 1}}));
+    config.tasks.push_back(task(indexed("task", i + 1), {{indexed("c", i), i}},
+                                {{indexed("c", i + 1), i + 1}}));
   }
   return config;
 }
@@ -114,6 +124,48 @@ inline System single_host_system(spec::SpecificationConfig spec_config,
   system.impl =
       std::make_unique<impl::Implementation>(std::move(impl_result).value());
   return system;
+}
+
+/// A random race-free specification whose tasks may read any
+/// communicator, so dataflow cycles (self-loops included) are common;
+/// failure models are mixed, giving memory-free, cycle-safe cyclic and
+/// unsafe cyclic specifications.
+inline spec::SpecificationConfig random_cyclic_spec(Xoshiro256& rng,
+                                                    int index) {
+  spec::SpecificationConfig config;
+  config.name = indexed("random", index);
+  const int comms = 2 + static_cast<int>(rng.next_below(9));
+  const int tasks = 1 + static_cast<int>(rng.next_below(
+                            static_cast<std::uint64_t>(comms)));
+  for (int c = 0; c < comms; ++c) {
+    config.communicators.push_back(comm(indexed("c", c), 10, 0.5));
+  }
+  // Task k writes c_k and, sometimes, one of the unwritten tail comms.
+  int next_extra = tasks;
+  for (int k = 0; k < tasks; ++k) {
+    std::vector<std::pair<std::string, std::int64_t>> outputs = {
+        {indexed("c", k), 1}};
+    if (next_extra < comms && rng.bernoulli(0.3)) {
+      outputs.push_back({indexed("c", next_extra++), 1});
+    }
+    std::vector<std::pair<std::string, std::int64_t>> inputs;
+    const int fan_in = 1 + static_cast<int>(rng.next_below(3));
+    for (int j = 0; j < fan_in; ++j) {
+      inputs.push_back({indexed("c", static_cast<std::int64_t>(rng.next_below(
+                                          static_cast<std::uint64_t>(comms)))),
+                        0});
+    }
+    // Independent-model tasks cut cycles; weight them so cyclic specs
+    // split between cycle-safe and unsafe.
+    const double draw = rng.next_double();
+    const spec::FailureModel model =
+        draw < 0.6 ? spec::FailureModel::kIndependent
+                   : (draw < 0.8 ? spec::FailureModel::kSeries
+                                 : spec::FailureModel::kParallel);
+    config.tasks.push_back(
+        task(indexed("t", k), std::move(inputs), std::move(outputs), model));
+  }
+  return config;
 }
 
 }  // namespace lrt::test
