@@ -10,6 +10,8 @@
 // Benchmarks: simulation cost of replication vs re-execution.
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "reliability/analysis.h"
@@ -50,8 +52,12 @@ Sys redundant(int replicas, int retries, double host_rel = 0.9,
   arch::ArchitectureConfig arch_config;
   std::vector<std::string> hosts;
   for (int h = 0; h < replicas; ++h) {
-    arch_config.hosts.push_back({"h" + std::to_string(h), host_rel});
-    hosts.push_back("h" + std::to_string(h));
+    // Appended piecewise: "h" + std::to_string(h) trips a GCC 12
+    // -Wrestrict false positive at -O3.
+    std::string host = "h";
+    host += std::to_string(h);
+    arch_config.hosts.push_back({host, host_rel});
+    hosts.push_back(std::move(host));
   }
   arch_config.sensors = {{"s", 1.0}};
   arch_config.default_wcet = 10;

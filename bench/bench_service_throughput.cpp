@@ -10,13 +10,17 @@
 //     response streams — worker count is a pure throughput knob.
 //
 // Also reports closed-loop socket throughput (requests/sec, p50/p99/p999
-// latency) for the hot path. `--json <path>` writes the summary gated in
-// CI against baselines/BENCH_service.json.
+// latency) for the hot path, and splits one cold analyze into the layers
+// it crosses (parse, decode, fingerprint, build, analyze, serialize),
+// each timed through the facade calls Service::handle makes. `--json
+// <path>` writes the summary gated in CI against
+// baselines/BENCH_service.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -24,6 +28,8 @@
 #include "bench/bench_util.h"
 #include "gen/workload.h"
 #include "impl/impl_json.h"
+#include "lrt/lrt.h"
+#include "reliability/analysis.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -38,6 +44,7 @@ using namespace lrt;
 
 constexpr int kHitSamples = 64;
 constexpr int kColdSamples = 8;
+constexpr int kLayerSamples = 21;
 constexpr int kLogMutates = 50;
 constexpr int kThroughputRequests = 400;
 
@@ -165,6 +172,96 @@ double percentile(const std::vector<double>& sorted_us, double q) {
              (rank - static_cast<double>(lo));
 }
 
+/// One cold analyze, split into the layers a request crosses (us).
+struct ColdLayers {
+  double parse = 0.0;
+  double decode = 0.0;  ///< spec + arch + implementation codecs
+  double fingerprint = 0.0;
+  double build = 0.0;  ///< workload + implementation models
+  double analyze = 0.0;
+  double serialize = 0.0;  ///< the report's JSON
+};
+
+template <typename T>
+T checked(Result<T> result, const char* layer) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", layer,
+                 result.status().to_string().c_str());
+    std::exit(1);
+  }
+  return std::move(result).value();
+}
+
+/// Times each layer of a cold analyze of `frame` through the facade.
+ColdLayers time_cold_layers(const std::string& frame) {
+  using Clock = std::chrono::steady_clock;
+  const auto since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - start)
+        .count();
+  };
+  ColdLayers t;
+  auto start = Clock::now();
+  const JsonValue document = checked(parse_json(frame), "parse_json");
+  t.parse = since(start);
+
+  start = Clock::now();
+  spec::SpecificationConfig spec_config =
+      checked(spec::specification_config_from_json(*document.find("spec")),
+              "spec decode");
+  arch::ArchitectureConfig arch_config =
+      checked(arch::architecture_config_from_json(*document.find("arch")),
+              "arch decode");
+  impl::ImplementationConfig impl_config = checked(
+      impl::implementation_config_from_json(*document.find("implementation")),
+      "impl decode");
+  t.decode = since(start);
+
+  start = Clock::now();
+  const std::uint64_t fingerprint = lrt::fingerprint(spec_config, arch_config);
+  t.fingerprint = since(start);
+  benchmark::DoNotOptimize(fingerprint);
+
+  start = Clock::now();
+  const lrt::Workload workload = checked(
+      lrt::build_workload(std::move(spec_config), std::move(arch_config)),
+      "build_workload");
+  const impl::Implementation implementation =
+      checked(lrt::build_implementation(workload, std::move(impl_config)),
+              "build_implementation");
+  t.build = since(start);
+
+  start = Clock::now();
+  const reliability::ReliabilityReport report =
+      checked(lrt::analyze(workload, implementation), "analyze");
+  t.analyze = since(start);
+
+  start = Clock::now();
+  const std::string report_json = reliability::to_json(report);
+  t.serialize = since(start);
+  benchmark::DoNotOptimize(report_json.data());
+  return t;
+}
+
+/// The per-layer medians of kLayerSamples cold analyzes of `frame`.
+ColdLayers median_cold_layers(const std::string& frame) {
+  std::vector<ColdLayers> samples;
+  for (int i = 0; i < kLayerSamples; ++i) {
+    samples.push_back(time_cold_layers(frame));
+  }
+  const auto median_of = [&](double ColdLayers::*layer) {
+    std::vector<double> values;
+    for (const ColdLayers& sample : samples) values.push_back(sample.*layer);
+    return median_us(std::move(values));
+  };
+  ColdLayers out;
+  for (double ColdLayers::*layer :
+       {&ColdLayers::parse, &ColdLayers::decode, &ColdLayers::fingerprint,
+        &ColdLayers::build, &ColdLayers::analyze, &ColdLayers::serialize}) {
+    out.*layer = median_of(layer);
+  }
+  return out;
+}
+
 double handle_us(service::Service& service, const std::string& frame) {
   const auto start = std::chrono::steady_clock::now();
   const service::ServiceReply reply = service.handle(frame);
@@ -233,7 +330,11 @@ std::string replay_log(const std::vector<std::string>& log,
 
 struct Numbers {
   long long tasks = 0;
+  long long hardware_concurrency = 0;
   double cold_us = 0.0;
+  ColdLayers cold;
+  long long frame_bytes = 0;
+  double parse_mb_s = 0.0;
   double hit_us = 0.0;
   double hit_speedup = 0.0;
   bool identical = false;
@@ -277,6 +378,13 @@ void run_experiment() {
                               static_cast<std::size_t>(i))));
   }
   g_numbers.cold_us = median_us(cold_us);
+  const std::string layers_frame = cold_frame(corpus, "layers");
+  g_numbers.cold = median_cold_layers(layers_frame);
+  g_numbers.frame_bytes = static_cast<long long>(layers_frame.size());
+  g_numbers.parse_mb_s =
+      static_cast<double>(layers_frame.size()) / g_numbers.cold.parse;
+  g_numbers.hardware_concurrency =
+      static_cast<long long>(std::thread::hardware_concurrency());
   g_numbers.hit_us = median_us(hit_us);
   g_numbers.hit_speedup = g_numbers.cold_us / g_numbers.hit_us;
 
@@ -352,6 +460,14 @@ void print_table() {
   std::printf("  workload: %lld tasks\n", g_numbers.tasks);
   std::printf("  cold-miss full analysis: %10.1f us (median of %d)\n",
               g_numbers.cold_us, kColdSamples);
+  std::printf("  cold layers (median of %d, %lld-byte frame):\n",
+              kLayerSamples, g_numbers.frame_bytes);
+  std::printf("    parse %.1f us (%.1f MB/s)  decode %.1f  fingerprint %.1f"
+              "  build %.1f  analyze %.1f  serialize %.1f us\n",
+              g_numbers.cold.parse, g_numbers.parse_mb_s,
+              g_numbers.cold.decode, g_numbers.cold.fingerprint,
+              g_numbers.cold.build, g_numbers.cold.analyze,
+              g_numbers.cold.serialize);
   std::printf("  cache-hit delta analyze: %10.1f us (median of %d)\n",
               g_numbers.hit_us, kHitSamples);
   std::printf("  hit speedup:             %10.1fx (floor: 100x)\n",
@@ -368,7 +484,16 @@ bool write_json(const std::string& path) {
   bench::JsonWriter json;
   json.text("benchmark", "service_throughput");
   json.integer("tasks", g_numbers.tasks);
+  json.integer("hardware_concurrency", g_numbers.hardware_concurrency);
   json.number("cold_us", g_numbers.cold_us);
+  json.integer("frame_bytes", g_numbers.frame_bytes);
+  json.number("cold_parse_us", g_numbers.cold.parse);
+  json.number("parse_mb_s", g_numbers.parse_mb_s);
+  json.number("cold_decode_us", g_numbers.cold.decode);
+  json.number("cold_fingerprint_us", g_numbers.cold.fingerprint);
+  json.number("cold_build_us", g_numbers.cold.build);
+  json.number("cold_analyze_us", g_numbers.cold.analyze);
+  json.number("cold_serialize_us", g_numbers.cold.serialize);
   json.number("hit_us", g_numbers.hit_us);
   json.number("hit_speedup", g_numbers.hit_speedup);
   json.integer("identical", g_numbers.identical ? 1 : 0);

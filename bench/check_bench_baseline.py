@@ -36,9 +36,20 @@ script serves every bench that writes a --json summary:
       incremental-vs-full speedup may not fall below half the baseline's,
       and analyze_us gets a coarse absolute budget.
 
+  service_*    — lrtd's cold and hit paths:
+    * determinism: 1-worker and 8-worker servers answer the same log
+      with identical bytes; the workload shape matches the baseline;
+    * incrementality: hit_speedup stays above a floor and hit_us within
+      an absolute budget;
+    * cold path: cold_us and cold_parse_us (the JSON parse of the 71 KB
+      cold frame) may not exceed 2x the baseline on a runner with the
+      baseline's core count; elsewhere cold_us gets a coarse absolute
+      budget.
+
 Wall budgets are generous (~50-100x the recorded times) since CI machines
 are slower and noisier than the baseline recorder — except the analysis
-rule, which catches a 2x regression on like hardware.
+and service cold-path rules, which catch a 2x regression on like
+hardware.
 
 Usage: check_bench_baseline.py <fresh.json> <baseline.json>
 """
@@ -64,6 +75,9 @@ LINT_WALL_BUDGET_MS = 250.0
 # started rebuilding or re-serializing the world).
 SERVICE_HIT_SPEEDUP_FLOOR = 100.0
 SERVICE_HIT_BUDGET_US = 400.0
+# Absolute bound for the cold analyze on unlike hardware (~25x the
+# recorded figure).
+SERVICE_COLD_BUDGET_US = 50000.0
 # The analysis gate catches a 2x regression: measured figures may not
 # exceed (or, for the speedup, fall below) the baseline by this factor.
 ANALYSIS_REGRESSION_FACTOR = 2.0
@@ -300,6 +314,32 @@ def check_service(fresh, base):
             f"hit_us: {fresh['hit_us']:.1f} > budget "
             f"{SERVICE_HIT_BUDGET_US} us (baseline "
             f"{base['hit_us']:.1f} us)")
+
+    factor = ANALYSIS_REGRESSION_FACTOR
+    cores = fresh.get("hardware_concurrency", 0)
+    if cores == base.get("hardware_concurrency"):
+        for key in ("cold_us", "cold_parse_us"):
+            limit = base[key] * factor
+            if fresh[key] > limit:
+                failures.append(
+                    f"{key}: {fresh[key]:.1f} > {limit:.1f} (baseline "
+                    f"{base[key]:.1f} x {factor:g} on {cores} cores)")
+    else:
+        print(f"note: {cores} core(s) != baseline "
+              f"{base.get('hardware_concurrency')} — 2x cold-path bounds "
+              "not enforced (absolute budget still checked)")
+        if fresh["cold_us"] > SERVICE_COLD_BUDGET_US:
+            failures.append(
+                f"cold_us: {fresh['cold_us']:.0f} > budget "
+                f"{SERVICE_COLD_BUDGET_US:.0f} us")
+    for label, data in (("fresh:   ", fresh), ("baseline:", base)):
+        print(f"{label} cold layers: parse={data['cold_parse_us']:.0f}us "
+              f"({data['parse_mb_s']:.0f} MB/s) "
+              f"decode={data['cold_decode_us']:.0f}us "
+              f"fingerprint={data['cold_fingerprint_us']:.0f}us "
+              f"build={data['cold_build_us']:.0f}us "
+              f"analyze={data['cold_analyze_us']:.0f}us "
+              f"serialize={data['cold_serialize_us']:.0f}us")
 
     print(f"fresh:    identical={fresh['identical']} "
           f"tasks={fresh['tasks']} "

@@ -21,13 +21,12 @@ void write_optional_time(const std::optional<Time>& value,
 }
 
 Result<std::optional<Time>> optional_time_from_json(
-    const JsonValue& object, std::string_view key, std::string_view where) {
+    const JsonValue& object, std::string_view key, const JsonPath& where) {
   LRT_ASSIGN_OR_RETURN(const JsonValue* member,
                        json_member(object, key, where));
   if (member->kind == JsonValue::Kind::kNull) return std::optional<Time>();
-  LRT_ASSIGN_OR_RETURN(
-      const std::int64_t value,
-      json_to_int(*member, std::string(where) + "." + std::string(key)));
+  LRT_ASSIGN_OR_RETURN(const std::int64_t value,
+                       json_to_int(*member, where.member(key)));
   return std::optional<Time>(value);
 }
 
@@ -101,19 +100,22 @@ std::string to_json(const ArchitectureConfig& config) {
 
 Result<ArchitectureConfig> architecture_config_from_json(
     const JsonValue& document) {
+  const JsonPath root("arch");
   LRT_RETURN_IF_ERROR(
-      json_check_schema(document, spec::kConfigSchemaVersion, "arch"));
+      json_check_schema(document, spec::kConfigSchemaVersion, root));
   ArchitectureConfig config;
   LRT_ASSIGN_OR_RETURN(config.name,
-                       json_member_string(document, "name", "arch"));
+                       json_member_string(document, "name", root));
 
   LRT_ASSIGN_OR_RETURN(const JsonValue* hosts,
-                       json_member(document, "hosts", "arch"));
+                       json_member(document, "hosts", root));
   if (!hosts->is_array()) {
     return InvalidArgumentError("arch.hosts must be an array");
   }
+  const JsonPath hosts_path = root.member("hosts");
+  config.hosts.reserve(hosts->array.size());
   for (std::size_t i = 0; i < hosts->array.size(); ++i) {
-    const std::string path = "arch.hosts[" + std::to_string(i) + "]";
+    const JsonPath path = hosts_path.item(i);
     const JsonValue& entry = hosts->array[i];
     Host host;
     LRT_ASSIGN_OR_RETURN(host.name, json_member_string(entry, "name", path));
@@ -123,12 +125,14 @@ Result<ArchitectureConfig> architecture_config_from_json(
   }
 
   LRT_ASSIGN_OR_RETURN(const JsonValue* sensors,
-                       json_member(document, "sensors", "arch"));
+                       json_member(document, "sensors", root));
   if (!sensors->is_array()) {
     return InvalidArgumentError("arch.sensors must be an array");
   }
+  const JsonPath sensors_path = root.member("sensors");
+  config.sensors.reserve(sensors->array.size());
   for (std::size_t i = 0; i < sensors->array.size(); ++i) {
-    const std::string path = "arch.sensors[" + std::to_string(i) + "]";
+    const JsonPath path = sensors_path.item(i);
     const JsonValue& entry = sensors->array[i];
     Sensor sensor;
     LRT_ASSIGN_OR_RETURN(sensor.name,
@@ -139,12 +143,14 @@ Result<ArchitectureConfig> architecture_config_from_json(
   }
 
   LRT_ASSIGN_OR_RETURN(const JsonValue* metrics,
-                       json_member(document, "metrics", "arch"));
+                       json_member(document, "metrics", root));
   if (!metrics->is_array()) {
     return InvalidArgumentError("arch.metrics must be an array");
   }
+  const JsonPath metrics_path = root.member("metrics");
+  config.metrics.reserve(metrics->array.size());
   for (std::size_t i = 0; i < metrics->array.size(); ++i) {
-    const std::string path = "arch.metrics[" + std::to_string(i) + "]";
+    const JsonPath path = metrics_path.item(i);
     const JsonValue& entry = metrics->array[i];
     ArchitectureConfig::MetricEntry metric;
     LRT_ASSIGN_OR_RETURN(metric.task,
@@ -158,10 +164,10 @@ Result<ArchitectureConfig> architecture_config_from_json(
 
   LRT_ASSIGN_OR_RETURN(
       config.default_wcet,
-      optional_time_from_json(document, "default_wcet", "arch"));
+      optional_time_from_json(document, "default_wcet", root));
   LRT_ASSIGN_OR_RETURN(
       config.default_wctt,
-      optional_time_from_json(document, "default_wctt", "arch"));
+      optional_time_from_json(document, "default_wctt", root));
   return config;
 }
 

@@ -30,7 +30,9 @@ std::string EcodeProgram::disassemble(const spec::Specification& spec) const {
   for (std::size_t addr = 0; addr < code.size(); ++addr) {
     const auto block = block_of.find(static_cast<int>(addr));
     if (block != block_of.end()) {
-      out += "@" + std::to_string(block->second) + ":\n";
+      out += '@';
+      out += std::to_string(block->second);
+      out += ":\n";
     }
     const Instruction& inst = code[addr];
     out += "  " + std::string(to_string(inst.op));
@@ -48,8 +50,11 @@ std::string EcodeProgram::disassemble(const spec::Specification& spec) const {
         out += "(" + spec.task(inst.arg0).name + ")";
         break;
       case Opcode::kFuture:
-        out += "(+" + std::to_string(inst.arg0) + ", @" +
-               std::to_string(inst.arg1) + ")";
+        out += "(+";
+        out += std::to_string(inst.arg0);
+        out += ", @";
+        out += std::to_string(inst.arg1);
+        out += ')';
         break;
       case Opcode::kHalt:
         break;

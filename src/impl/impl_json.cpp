@@ -73,20 +73,22 @@ std::string to_json(const ImplementationConfig& config) {
 
 Result<ImplementationConfig> implementation_config_from_json(
     const JsonValue& document) {
+  const JsonPath root("impl");
   LRT_RETURN_IF_ERROR(
-      json_check_schema(document, spec::kConfigSchemaVersion, "impl"));
+      json_check_schema(document, spec::kConfigSchemaVersion, root));
   ImplementationConfig config;
   LRT_ASSIGN_OR_RETURN(config.name,
-                       json_member_string(document, "name", "impl"));
+                       json_member_string(document, "name", root));
 
   LRT_ASSIGN_OR_RETURN(const JsonValue* mappings,
-                       json_member(document, "task_mappings", "impl"));
+                       json_member(document, "task_mappings", root));
   if (!mappings->is_array()) {
     return InvalidArgumentError("impl.task_mappings must be an array");
   }
+  const JsonPath mappings_path = root.member("task_mappings");
+  config.task_mappings.reserve(mappings->array.size());
   for (std::size_t i = 0; i < mappings->array.size(); ++i) {
-    const std::string path =
-        "impl.task_mappings[" + std::to_string(i) + "]";
+    const JsonPath path = mappings_path.item(i);
     const JsonValue& entry = mappings->array[i];
     ImplementationConfig::TaskMapping mapping;
     LRT_ASSIGN_OR_RETURN(mapping.task,
@@ -94,13 +96,14 @@ Result<ImplementationConfig> implementation_config_from_json(
     LRT_ASSIGN_OR_RETURN(const JsonValue* hosts,
                          json_member(entry, "hosts", path));
     if (!hosts->is_array()) {
-      return InvalidArgumentError(path + ".hosts must be an array");
+      return InvalidArgumentError(path.str() + ".hosts must be an array");
     }
+    mapping.hosts.reserve(hosts->array.size());
     for (std::size_t h = 0; h < hosts->array.size(); ++h) {
       const JsonValue& host = hosts->array[h];
       if (!host.is_string()) {
-        return InvalidArgumentError(path + ".hosts[" + std::to_string(h) +
-                                    "] must be a string");
+        return InvalidArgumentError(path.member("hosts").item(h).str() +
+                                    " must be a string");
       }
       mapping.hosts.push_back(host.string);
     }
@@ -117,13 +120,14 @@ Result<ImplementationConfig> implementation_config_from_json(
   }
 
   LRT_ASSIGN_OR_RETURN(const JsonValue* bindings,
-                       json_member(document, "sensor_bindings", "impl"));
+                       json_member(document, "sensor_bindings", root));
   if (!bindings->is_array()) {
     return InvalidArgumentError("impl.sensor_bindings must be an array");
   }
+  const JsonPath bindings_path = root.member("sensor_bindings");
+  config.sensor_bindings.reserve(bindings->array.size());
   for (std::size_t i = 0; i < bindings->array.size(); ++i) {
-    const std::string path =
-        "impl.sensor_bindings[" + std::to_string(i) + "]";
+    const JsonPath path = bindings_path.item(i);
     const JsonValue& entry = bindings->array[i];
     ImplementationConfig::SensorBinding binding;
     LRT_ASSIGN_OR_RETURN(binding.communicator,

@@ -26,8 +26,12 @@ std::optional<Severity> parse_severity(std::string_view text) {
 std::string SourceLocation::to_string() const {
   std::string out = file;
   if (line > 0) {
-    out += ":" + std::to_string(line);
-    if (column > 0) out += ":" + std::to_string(column);
+    out += ':';
+    out += std::to_string(line);
+    if (column > 0) {
+      out += ':';
+      out += std::to_string(column);
+    }
   }
   return out;
 }

@@ -47,10 +47,27 @@ std::uint64_t Workload::fingerprint() const {
   return lrt::fingerprint(spec->to_config(), arch->to_config());
 }
 
+namespace {
+
+/// hash_bytes(to_json(config), seed), hashed as the writer emits it
+/// rather than over a materialized copy of the document.
+template <typename Config>
+std::uint64_t hash_canonical(const Config& config, std::uint64_t seed) {
+  struct HashSink final : JsonSink {
+    void write(std::string_view chunk) override { fnv.update(chunk); }
+    Fnv1a fnv;
+  } sink;
+  JsonWriter json(sink);
+  write_json(config, json);
+  json.flush();
+  return sink.fnv.finish(seed);
+}
+
+}  // namespace
+
 std::uint64_t fingerprint(const spec::SpecificationConfig& spec_config,
                           const arch::ArchitectureConfig& arch_config) {
-  const std::uint64_t seed = hash_bytes(spec::to_json(spec_config));
-  return hash_bytes(arch::to_json(arch_config), seed);
+  return hash_canonical(arch_config, hash_canonical(spec_config, 0));
 }
 
 Result<Workload> build_workload(spec::SpecificationConfig spec_config,

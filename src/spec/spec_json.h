@@ -42,7 +42,7 @@ void write_json(const SpecificationConfig& config, JsonWriter& json);
 /// {"bool": b}.
 void write_json(const Value& value, JsonWriter& json);
 [[nodiscard]] Result<Value> value_from_json(const JsonValue& document,
-                                            std::string_view where);
+                                            const JsonPath& where);
 
 }  // namespace lrt::spec
 

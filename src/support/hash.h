@@ -26,18 +26,34 @@ inline std::uint64_t hash_words(std::span<const std::uint64_t> words,
   return seed;
 }
 
+/// FNV-1a state over a byte stream fed in pieces: updating with the
+/// pieces of `bytes` in order, then finish(seed), equals
+/// hash_bytes(bytes, seed).
+class Fnv1a {
+ public:
+  void update(std::string_view bytes) {
+    for (const char c : bytes) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 0x100000001B3ull;  // FNV prime
+    }
+  }
+  [[nodiscard]] std::uint64_t finish(std::uint64_t seed = 0) const {
+    return hash_combine(seed, h_);
+  }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;  // FNV offset basis
+};
+
 /// FNV-1a over a byte string, finished through hash_combine so short
 /// inputs still diffuse into all 64 bits. Deterministic across
 /// processes and platforms — safe for persistent fingerprints
 /// (lrt::Workload::fingerprint keys the lrtd evaluator cache on it).
 inline std::uint64_t hash_bytes(std::string_view bytes,
                                 std::uint64_t seed = 0) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV offset basis
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;  // FNV prime
-  }
-  return hash_combine(seed, h);
+  Fnv1a fnv;
+  fnv.update(bytes);
+  return fnv.finish(seed);
 }
 
 }  // namespace lrt

@@ -1,71 +1,19 @@
 #include "support/json.h"
 
+#include <bit>
 #include <cassert>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <utility>
 
 #include "support/strings.h"
 
 namespace lrt {
 
-void JsonWriter::comma_if_needed() {
-  if (after_key_) {
-    after_key_ = false;
-    return;
-  }
-  if (!has_elements_.empty()) {
-    if (has_elements_.back()) out_ += ',';
-    has_elements_.back() = true;
-  }
-}
-
-void JsonWriter::begin_object() {
-  comma_if_needed();
-  out_ += '{';
-  has_elements_.push_back(false);
-}
-
-void JsonWriter::end_object() {
-  assert(!has_elements_.empty());
-  has_elements_.pop_back();
-  out_ += '}';
-}
-
-void JsonWriter::begin_array() {
-  comma_if_needed();
-  out_ += '[';
-  has_elements_.push_back(false);
-}
-
-void JsonWriter::end_array() {
-  assert(!has_elements_.empty());
-  has_elements_.pop_back();
-  out_ += ']';
-}
-
-void JsonWriter::key(std::string_view name) {
-  assert(!after_key_ && "key() must be followed by a value");
-  if (!has_elements_.empty()) {
-    if (has_elements_.back()) out_ += ',';
-    has_elements_.back() = true;
-  }
-  out_ += '"';
-  write_escaped(name);
-  out_ += "\":";
-  after_key_ = true;
-}
-
-void JsonWriter::value(std::string_view text) {
-  comma_if_needed();
-  out_ += '"';
-  write_escaped(text);
-  out_ += '"';
-}
-
 void JsonWriter::value(double number) {
-  comma_if_needed();
+  separate();
   if (std::isfinite(number)) {
     append_double(out_, number);
   } else {
@@ -73,63 +21,78 @@ void JsonWriter::value(double number) {
   }
 }
 
-void JsonWriter::value(std::int64_t number) {
-  comma_if_needed();
-  char buffer[24];
-  const auto result = std::to_chars(buffer, buffer + sizeof buffer, number);
-  out_.append(buffer, result.ptr);
+void JsonWriter::flush() {
+  assert(sink_ != nullptr && "flush() needs a sink");
+  sink_->write(out_);
+  out_.clear();
 }
 
-void JsonWriter::value(bool flag) {
-  comma_if_needed();
-  out_ += flag ? "true" : "false";
-}
-
-void JsonWriter::null() {
-  comma_if_needed();
-  out_ += "null";
-}
-
-void JsonWriter::raw(std::string_view json) {
-  comma_if_needed();
-  out_ += json;
-}
-
-std::string JsonWriter::str() && {
-  assert(has_elements_.empty() && "unclosed container");
-  assert(!after_key_ && "dangling key");
-  return std::move(out_);
+void JsonWriter::write_escape(unsigned char c) {
+  switch (c) {
+    case '"': out_ += "\\\""; break;
+    case '\\': out_ += "\\\\"; break;
+    case '\n': out_ += "\\n"; break;
+    case '\r': out_ += "\\r"; break;
+    case '\t': out_ += "\\t"; break;
+    default: {
+      static constexpr char kHex[] = "0123456789abcdef";
+      out_ += "\\u00";
+      out_ += kHex[c >> 4];
+      out_ += kHex[c & 0xf];
+    }
+  }
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : object)
+  for (const auto& [name, value] : object) {
+    // Most members differ from `key` in length or first byte already.
+    if (name.size() != key.size() ||
+        (!key.empty() && name.front() != key.front()))
+      continue;
     if (name == key) return &value;
+  }
   return nullptr;
 }
 
 namespace {
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 /// Recursive-descent JSON reader over a string_view.
+///
+/// The elements of an open array or object are parsed in place into a
+/// scratch vector owned by the parser, one per nesting depth, and moved
+/// into the node's vector in one allocation when the container closes:
+/// no node is moved by regrowth, and the scratch capacity is reused by
+/// every later container at the same depth. That allocation is rounded
+/// up to a power of two elements, the capacity push_back growth leaves:
+/// exact sizes spread a DOM over many distinct chunk sizes that glibc's
+/// malloc reuses poorly from one request to the next (lrtd's peak RSS
+/// grew 4% with them). The recursion returns plain bools; the one error
+/// is recorded where it happens and turned into a Status once.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   Result<JsonValue> run() {
     JsonValue value;
-    LRT_RETURN_IF_ERROR(parse_value(value, /*depth=*/0));
-    skip_whitespace();
-    if (pos_ != text_.size())
-      return error("trailing characters after document");
-    return value;
+    if (parse_value(value, /*depth=*/0)) {
+      skip_whitespace();
+      if (pos_ == text_.size()) return value;
+      fail("trailing characters after document");
+    }
+    return ParseError("json: " + std::string(error_) + " at offset " +
+                      std::to_string(pos_));
   }
 
  private:
   static constexpr int kMaxDepth = 128;
 
-  Status error(const std::string& message) const {
-    return ParseError("json: " + message + " at offset " +
-                      std::to_string(pos_));
+  /// Records the error at the current offset; always false.
+  bool fail(std::string_view message) {
+    error_ = message;
+    return false;
   }
 
   void skip_whitespace() {
@@ -147,17 +110,33 @@ class JsonParser {
     return false;
   }
 
-  Status expect_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal)
-      return error("invalid literal");
-    pos_ += literal.size();
-    return Status::Ok();
+  void skip_digits() {
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
   }
 
-  Status parse_value(JsonValue& out, int depth) {
-    if (depth > kMaxDepth) return error("nesting too deep");
+  bool expect_literal(std::string_view literal) {
+    if (text_.substr(pos_, literal.size()) != literal)
+      return fail("invalid literal");
+    pos_ += literal.size();
+    return true;
+  }
+
+  /// The scratch vector of the one container open at `depth`. Nested
+  /// parses may grow the outer vector, which moves the inner vectors but
+  /// not their elements: element references stay valid, references to
+  /// an inner vector are re-fetched.
+  template <typename T>
+  static std::vector<T>& scratch(std::vector<std::vector<T>>& stacks,
+                                 int depth) {
+    const auto index = static_cast<std::size_t>(depth);
+    if (stacks.size() <= index) stacks.resize(index + 1);
+    return stacks[index];
+  }
+
+  bool parse_value(JsonValue& out, int depth) {
+    if (depth > kMaxDepth) return fail("nesting too deep");
     skip_whitespace();
-    if (pos_ >= text_.size()) return error("unexpected end of input");
+    if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{': return parse_object(out, depth);
       case '[': return parse_array(out, depth);
@@ -179,61 +158,79 @@ class JsonParser {
     }
   }
 
-  Status parse_object(JsonValue& out, int depth) {
+  bool parse_object(JsonValue& out, int depth) {
     out.kind = JsonValue::Kind::kObject;
     ++pos_;  // '{'
     skip_whitespace();
-    if (consume('}')) return Status::Ok();
+    if (consume('}')) return true;
+    const bool ok = parse_members(depth);
+    auto& members = scratch(members_, depth);
+    if (ok) {
+      out.object.reserve(std::bit_ceil(members.size()));
+      out.object.assign(std::make_move_iterator(members.begin()),
+                        std::make_move_iterator(members.end()));
+    }
+    members.clear();
+    return ok;
+  }
+
+  bool parse_members(int depth) {
     while (true) {
       skip_whitespace();
-      std::string key;
       if (pos_ >= text_.size() || text_[pos_] != '"')
-        return error("expected object key");
-      LRT_RETURN_IF_ERROR(parse_string(key));
+        return fail("expected object key");
+      auto& member = scratch(members_, depth).emplace_back();
+      if (!parse_string(member.first)) return false;
       skip_whitespace();
-      if (!consume(':')) return error("expected ':'");
-      JsonValue value;
-      LRT_RETURN_IF_ERROR(parse_value(value, depth + 1));
-      out.object.emplace_back(std::move(key), std::move(value));
+      if (!consume(':')) return fail("expected ':'");
+      if (!parse_value(member.second, depth + 1)) return false;
       skip_whitespace();
-      if (consume('}')) return Status::Ok();
-      if (!consume(',')) return error("expected ',' or '}'");
+      if (consume('}')) return true;
+      if (!consume(',')) return fail("expected ',' or '}'");
     }
   }
 
-  Status parse_array(JsonValue& out, int depth) {
+  bool parse_array(JsonValue& out, int depth) {
     out.kind = JsonValue::Kind::kArray;
     ++pos_;  // '['
     skip_whitespace();
-    if (consume(']')) return Status::Ok();
+    if (consume(']')) return true;
+    const bool ok = parse_elements(depth);
+    auto& elements = scratch(elements_, depth);
+    if (ok) {
+      out.array.reserve(std::bit_ceil(elements.size()));
+      out.array.assign(std::make_move_iterator(elements.begin()),
+                       std::make_move_iterator(elements.end()));
+    }
+    elements.clear();
+    return ok;
+  }
+
+  bool parse_elements(int depth) {
     while (true) {
-      JsonValue value;
-      LRT_RETURN_IF_ERROR(parse_value(value, depth + 1));
-      out.array.push_back(std::move(value));
+      if (!parse_value(scratch(elements_, depth).emplace_back(), depth + 1))
+        return false;
       skip_whitespace();
-      if (consume(']')) return Status::Ok();
-      if (!consume(',')) return error("expected ',' or ']'");
+      if (consume(']')) return true;
+      if (!consume(',')) return fail("expected ',' or ']'");
     }
   }
 
-  Status parse_string(std::string& out) {
+  bool parse_string(std::string& out) {
     ++pos_;  // '"'
-    out.clear();
     while (pos_ < text_.size()) {
+      const std::size_t run = json_verbatim_run(text_.substr(pos_));
+      out.append(text_.data() + pos_, run);
+      pos_ += run;
+      if (pos_ == text_.size()) break;
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
-        return Status::Ok();
+        return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20)
-        return error("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        ++pos_;
-        continue;
-      }
+      if (c != '\\') return fail("unescaped control character in string");
       ++pos_;
-      if (pos_ >= text_.size()) return error("unterminated escape");
+      if (pos_ >= text_.size()) return fail("unterminated escape");
       const char escape = text_[pos_++];
       switch (escape) {
         case '"': out += '"'; break;
@@ -246,18 +243,18 @@ class JsonParser {
         case 't': out += '\t'; break;
         case 'u': {
           unsigned code = 0;
-          LRT_RETURN_IF_ERROR(parse_hex4(code));
+          if (!parse_hex4(code)) return false;
           append_utf8(out, code);
           break;
         }
-        default: return error("invalid escape");
+        default: return fail("invalid escape");
       }
     }
-    return error("unterminated string");
+    return fail("unterminated string");
   }
 
-  Status parse_hex4(unsigned& out) {
-    if (pos_ + 4 > text_.size()) return error("truncated \\u escape");
+  bool parse_hex4(unsigned& out) {
+    if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
     out = 0;
     for (int i = 0; i < 4; ++i) {
       const char c = text_[pos_++];
@@ -269,10 +266,10 @@ class JsonParser {
       } else if (c >= 'A' && c <= 'F') {
         out |= static_cast<unsigned>(c - 'A' + 10);
       } else {
-        return error("invalid \\u escape");
+        return fail("invalid \\u escape");
       }
     }
-    return Status::Ok();
+    return true;
   }
 
   static void append_utf8(std::string& out, unsigned code) {
@@ -288,46 +285,47 @@ class JsonParser {
     }
   }
 
-  Status parse_number(JsonValue& out) {
+  bool parse_number(JsonValue& out) {
     const std::size_t start = pos_;
-    if (consume('-')) {
-      // fall through to digits
-    }
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9')
-      return error("invalid number");
+    consume('-');
+    if (pos_ >= text_.size() || !is_digit(text_[pos_]))
+      return fail("invalid number");
     if (text_[pos_] == '0') {
       ++pos_;
     } else {
-      while (pos_ < text_.size() && text_[pos_] >= '0' &&
-             text_[pos_] <= '9')
-        ++pos_;
+      skip_digits();
     }
     if (consume('.')) {
-      if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9')
-        return error("invalid fraction");
-      while (pos_ < text_.size() && text_[pos_] >= '0' &&
-             text_[pos_] <= '9')
-        ++pos_;
+      if (pos_ >= text_.size() || !is_digit(text_[pos_]))
+        return fail("invalid fraction");
+      skip_digits();
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() &&
           (text_[pos_] == '+' || text_[pos_] == '-'))
         ++pos_;
-      if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9')
-        return error("invalid exponent");
-      while (pos_ < text_.size() && text_[pos_] >= '0' &&
-             text_[pos_] <= '9')
-        ++pos_;
+      if (pos_ >= text_.size() || !is_digit(text_[pos_]))
+        return fail("invalid exponent");
+      skip_digits();
     }
     out.kind = JsonValue::Kind::kNumber;
-    out.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                             nullptr);
-    return Status::Ok();
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, out.number);
+    if (ec != std::errc() || end != last) {
+      // from_chars reports overflow and underflow without a value; strtod
+      // yields the infinity, zero or subnormal the parser always gave.
+      out.number = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    return true;
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::string_view error_;
+  std::vector<std::vector<JsonValue>> elements_;
+  std::vector<std::vector<std::pair<std::string, JsonValue>>> members_;
 };
 
 }  // namespace
@@ -336,37 +334,44 @@ Result<JsonValue> parse_json(std::string_view text) {
   return JsonParser(text).run();
 }
 
-namespace {
-
-std::string member_path(std::string_view where, std::string_view key) {
-  std::string path(where);
-  if (!path.empty()) path += '.';
-  path += key;
-  return path;
+std::string JsonPath::str() const {
+  std::string out;
+  append_to(out);
+  return out;
 }
 
-}  // namespace
+void JsonPath::append_to(std::string& out) const {
+  if (parent_ != nullptr) parent_->append_to(out);
+  if (index_ != kNoIndex) {
+    out += '[';
+    out += std::to_string(index_);
+    out += ']';
+    return;
+  }
+  if (!out.empty()) out += '.';
+  out += name_;
+}
 
 Result<const JsonValue*> json_member(const JsonValue& object,
                                      std::string_view key,
-                                     std::string_view where) {
+                                     const JsonPath& where) {
   if (!object.is_object()) {
-    return InvalidArgumentError(std::string(where) + " must be an object");
+    return InvalidArgumentError(where.str() + " must be an object");
   }
   const JsonValue* member = object.find(key);
   if (member == nullptr) {
-    return InvalidArgumentError(member_path(where, key) + " is missing");
+    return InvalidArgumentError(where.member(key).str() + " is missing");
   }
   return member;
 }
 
 Result<std::string> json_member_string(const JsonValue& object,
                                        std::string_view key,
-                                       std::string_view where) {
+                                       const JsonPath& where) {
   LRT_ASSIGN_OR_RETURN(const JsonValue* member,
                        json_member(object, key, where));
   if (!member->is_string()) {
-    return InvalidArgumentError(member_path(where, key) +
+    return InvalidArgumentError(where.member(key).str() +
                                 " must be a string");
   }
   return member->string;
@@ -374,85 +379,59 @@ Result<std::string> json_member_string(const JsonValue& object,
 
 Result<std::int64_t> json_member_int(const JsonValue& object,
                                      std::string_view key,
-                                     std::string_view where) {
+                                     const JsonPath& where) {
   LRT_ASSIGN_OR_RETURN(const JsonValue* member,
                        json_member(object, key, where));
-  return json_to_int(*member, member_path(where, key));
+  return json_to_int(*member, where.member(key));
 }
 
 Result<double> json_member_double(const JsonValue& object,
                                   std::string_view key,
-                                  std::string_view where) {
+                                  const JsonPath& where) {
   LRT_ASSIGN_OR_RETURN(const JsonValue* member,
                        json_member(object, key, where));
   if (!member->is_number()) {
-    return InvalidArgumentError(member_path(where, key) +
+    return InvalidArgumentError(where.member(key).str() +
                                 " must be a number");
   }
   return member->number;
 }
 
 Result<bool> json_member_bool(const JsonValue& object, std::string_view key,
-                              std::string_view where) {
+                              const JsonPath& where) {
   LRT_ASSIGN_OR_RETURN(const JsonValue* member,
                        json_member(object, key, where));
   if (member->kind != JsonValue::Kind::kBool) {
-    return InvalidArgumentError(member_path(where, key) +
+    return InvalidArgumentError(where.member(key).str() +
                                 " must be a boolean");
   }
   return member->boolean;
 }
 
 Result<std::int64_t> json_to_int(const JsonValue& value,
-                                 std::string_view where) {
+                                 const JsonPath& where) {
   if (!value.is_number()) {
-    return InvalidArgumentError(std::string(where) + " must be a number");
+    return InvalidArgumentError(where.str() + " must be a number");
   }
   const double number = value.number;
   // Exactly representable int64 doubles only; 2^63 itself overflows.
   if (number != std::floor(number) || number < -9.2233720368547758e18 ||
       number >= 9.2233720368547758e18) {
-    return InvalidArgumentError(std::string(where) +
-                                " must be an integer");
+    return InvalidArgumentError(where.str() + " must be an integer");
   }
   return static_cast<std::int64_t>(number);
 }
 
 Status json_check_schema(const JsonValue& object, std::int64_t version,
-                         std::string_view where) {
+                         const JsonPath& where) {
   LRT_ASSIGN_OR_RETURN(const std::int64_t seen,
                        json_member_int(object, "schema", where));
   if (seen != version) {
     return InvalidArgumentError(
-        std::string(where) + ".schema " + std::to_string(seen) +
+        where.str() + ".schema " + std::to_string(seen) +
         " is not supported (expected " + std::to_string(version) + ")");
   }
   return Status::Ok();
-}
-
-void JsonWriter::write_escaped(std::string_view text) {
-  // Runs of characters that need no escape are appended in one call.
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const auto c = static_cast<unsigned char>(text[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out_.append(text, run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out_ += "\\\""; break;
-      case '\\': out_ += "\\\\"; break;
-      case '\n': out_ += "\\n"; break;
-      case '\r': out_ += "\\r"; break;
-      case '\t': out_ += "\\t"; break;
-      default: {
-        static constexpr char kHex[] = "0123456789abcdef";
-        out_ += "\\u00";
-        out_ += kHex[c >> 4];
-        out_ += kHex[c & 0xf];
-      }
-    }
-  }
-  out_.append(text, run);
 }
 
 }  // namespace lrt

@@ -16,10 +16,8 @@
 #include <vector>
 
 #include "arch/arch_json.h"
-#include "gen/workload.h"
 #include "impl/impl_json.h"
 #include "lrt/lrt.h"
-#include "plant/three_tank_system.h"
 #include "reliability/analysis.h"
 #include "service/protocol.h"
 #include "service/service.h"
@@ -29,46 +27,10 @@
 #include "support/rng.h"
 #include "support/strings.h"
 #include "tests/test_util.h"
+#include "tests/wire_designs.h"
 
 namespace lrt {
 namespace {
-
-/// One design as lrtd receives it.
-struct Design {
-  std::string spec_json;
-  std::string arch_json;
-  std::string impl_json;
-};
-
-Design three_tank_design() {
-  plant::ThreeTankScenario scenario;
-  scenario.variant = plant::ThreeTankVariant::kReplicatedTasks;
-  scenario.lrc_controls = 0.98;
-  scenario.host_count = 3;
-  auto system = plant::make_three_tank_system(scenario);
-  EXPECT_TRUE(system.ok()) << system.status();
-  return {spec::to_json(system->specification->to_config()),
-          arch::to_json(system->architecture->to_config()),
-          impl::to_json(system->implementation->to_config())};
-}
-
-/// The 200-task shape of the lrtd cold benchmark (10 layers x 20 tasks,
-/// 4 hosts).
-Design generated_design(std::uint64_t seed) {
-  gen::WorkloadOptions options;
-  options.min_layers = 10;
-  options.max_layers = 10;
-  options.min_tasks_per_layer = 20;
-  options.max_tasks_per_layer = 20;
-  options.min_hosts = 4;
-  options.max_hosts = 4;
-  Xoshiro256 rng(seed);
-  auto workload = gen::random_workload(rng, options);
-  EXPECT_TRUE(workload.ok()) << workload.status();
-  return {spec::to_json(workload->specification->to_config()),
-          arch::to_json(workload->architecture_config),
-          impl::to_json(workload->implementation_config)};
-}
 
 struct Observed {
   std::uint64_t fingerprint = 0;
@@ -106,11 +68,8 @@ Observed observe(const Design& design) {
   out.report_bytes = report_json.size();
 
   service::Service service;
-  const std::string frame = "{\"schema\":1,\"id\":\"g\",\"verb\":\"analyze\","
-                            "\"spec\":" + design.spec_json +
-                            ",\"arch\":" + design.arch_json +
-                            ",\"implementation\":" + design.impl_json + "}";
-  const service::ServiceReply reply = service.handle(frame);
+  const service::ServiceReply reply =
+      service.handle(analyze_frame(design, "g"));
   EXPECT_NE(reply.frame.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(reply.frame.find(report_json), std::string::npos);
   EXPECT_NE(reply.frame.find(service::format_fingerprint(out.fingerprint)),

@@ -76,7 +76,7 @@ TEST(Diagnostic, EngineAppliesSeverityOverride) {
 
 TEST(Diagnostic, EngineDropsDisabledRule) {
   DiagnosticEngine engine;
-  engine.configure("LRT006", {.enabled = false});
+  engine.configure("LRT006", {.enabled = false, .severity = std::nullopt});
   Diagnostic diag;
   diag.rule_id = "LRT006";
   EXPECT_FALSE(engine.report(std::move(diag)));
@@ -945,7 +945,7 @@ TEST(Determinism, DedupeKeepsSortedOrder) {
     Diagnostic diag;
     diag.rule_id = "LRT005";
     diag.location = {"a.htl", line, 1};
-    diag.message = "m";
+    diag.message.push_back('m');  // operator=("m") trips GCC 12 -Wrestrict
     EXPECT_TRUE(engine.report(std::move(diag)));
   }
   engine.sort_and_dedupe();

@@ -155,7 +155,9 @@ TEST(Tracer, RingOverflowDropsOldestAndCountsDrops) {
   Tracer tracer(/*capacity=*/4);
   tracer.set_drop_counter(&metrics);
   for (int i = 0; i < 10; ++i) {
-    tracer.instant("test", "e" + std::to_string(i));
+    std::string name = "e";  // piecewise: GCC 12 -O3 -Wrestrict
+    name += std::to_string(i);
+    tracer.instant("test", name);
   }
   const std::vector<TraceEvent> events = tracer.events();
   ASSERT_EQ(events.size(), 4u);

@@ -208,18 +208,18 @@ TEST_P(EdfVsDemandBound, Agree) {
     impl::ImplementationConfig impl_config;
     impl_config.sensor_bindings = {{"in", "sens_in"}};
     for (int i = 0; i < n; ++i) {
-      const std::string out = "o" + std::to_string(i);
+      const std::string out = test::indexed("o", i);
       // Output instance in [1, 4] on a period-10 comm => write in [10, 40].
       const auto out_inst =
           1 + static_cast<std::int64_t>(rng.next_below(4));
       config.communicators.push_back(comm(out, 10));
       config.tasks.push_back(
-          task("t" + std::to_string(i), {{"in", 0}}, {{out, out_inst}}));
+          task(test::indexed("t", i), {{"in", 0}}, {{out, out_inst}}));
       const auto wcet = 1 + static_cast<spec::Time>(rng.next_below(8));
       arch_config.metrics.push_back(
-          {"t" + std::to_string(i), "h0", wcet, 1});
+          {test::indexed("t", i), "h0", wcet, 1});
       impl_config.task_mappings.push_back(
-          {"t" + std::to_string(i), {"h0"}});
+          {test::indexed("t", i), {"h0"}});
     }
     auto spec_result = spec::Specification::Build(std::move(config));
     ASSERT_TRUE(spec_result.ok()) << spec_result.status();

@@ -449,7 +449,7 @@ TEST(FastEngine, ExhaustiveHostCountGuard) {
   // such limit: 40 hosts are fine.
   std::vector<arch::Host> many_hosts;
   for (int h = 0; h < 40; ++h) {
-    many_hosts.push_back({"h" + std::to_string(h), 0.99});
+    many_hosts.push_back({test::indexed("h", h), 0.99});
   }
   Fixture f = chain_fixture(0.9, 0.9, many_hosts);
 

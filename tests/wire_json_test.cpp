@@ -1,7 +1,10 @@
 // The canonical wire codecs behind lrtd (DESIGN.md §5k): every config
 // document must round-trip exactly (to_json -> from_json -> to_json is
 // byte-identical), reject foreign schema versions, and hash to a stable,
-// canonical-order-insensitive workload fingerprint.
+// canonical-order-insensitive workload fingerprint. The decode-error
+// goldens pin each schema violation's status code and message byte for
+// byte; they were recorded from the decoders that composed every error
+// path eagerly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +17,7 @@
 #include "impl/implementation.h"
 #include "lrt/lrt.h"
 #include "reliability/analysis.h"
+#include "service/service.h"
 #include "spec/spec_json.h"
 #include "spec/specification.h"
 #include "support/json.h"
@@ -189,6 +193,185 @@ TEST(WireJson, FingerprintSeparatesDifferentWorkloads) {
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(other.ok());
   EXPECT_NE(base->fingerprint(), other->fingerprint());
+}
+
+// --- decode-error goldens --------------------------------------------------
+
+enum class Doc { kSpec, kArch, kImpl, kFrame };
+
+struct DecodeCase {
+  Doc doc;
+  /// Applied to the canonical document: the first occurrence of `find`
+  /// becomes `replace` (an empty `find` replaces the whole document).
+  std::string_view find;
+  std::string_view replace;
+  StatusCode code;
+  std::string_view message;
+};
+
+std::string canonical(Doc doc) {
+  switch (doc) {
+    case Doc::kSpec: return spec::to_json(make_spec_config());
+    case Doc::kArch: return arch::to_json(make_arch_config());
+    case Doc::kImpl: return impl::to_json(make_impl_config());
+    case Doc::kFrame: break;
+  }
+  return R"({"schema":1,"id":"e","verb":"analyze","spec":)" +
+         canonical(Doc::kSpec) + R"(,"arch":)" + canonical(Doc::kArch) +
+         R"(,"implementation":)" + canonical(Doc::kImpl) + "}";
+}
+
+/// The status the document decodes to; for kFrame, the error Service
+/// answers the frame with (kOk if it answers ok).
+Status decode(Doc doc, const std::string& text) {
+  if (doc == Doc::kFrame) {
+    service::Service service;
+    const auto reply = parse_json(service.handle(text).frame);
+    EXPECT_TRUE(reply.ok());
+    const JsonValue* error = reply->find("error");
+    if (error == nullptr) return Status::Ok();
+    const auto code = status_code_from_name(error->find("code")->string);
+    EXPECT_TRUE(code.has_value());
+    return Status(*code, error->find("message")->string);
+  }
+  const auto document = parse_json(text);
+  if (!document.ok()) return document.status();
+  switch (doc) {
+    case Doc::kSpec:
+      return spec::specification_config_from_json(*document).status();
+    case Doc::kArch:
+      return arch::architecture_config_from_json(*document).status();
+    default: return impl::implementation_config_from_json(*document).status();
+  }
+}
+
+TEST(WireJson, DecodeErrorsNameTheExactPath) {
+  constexpr auto kInvalid = StatusCode::kInvalidArgument;
+  const DecodeCase kCases[] = {
+      {Doc::kSpec, "", "[]", kInvalid, "spec must be an object"},
+      {Doc::kSpec, "\"schema\":1", "\"schema\":2", kInvalid,
+       "spec.schema 2 is not supported (expected 1)"},
+      {Doc::kSpec, "\"schema\":1,", "", kInvalid, "spec.schema is missing"},
+      {Doc::kSpec, "\"schema\":1", "\"schema\":1.5", kInvalid,
+       "spec.schema must be an integer"},
+      {Doc::kSpec, "\"schema\":1", "\"schema\":\"1\"", kInvalid,
+       "spec.schema must be a number"},
+      {Doc::kSpec, "\"name\":\"wire_spec\"", "\"name\":7", kInvalid,
+       "spec.name must be a string"},
+      {Doc::kSpec, "\"communicators\":[", "\"communicators\":3,\"x\":[",
+       kInvalid, "spec.communicators must be an array"},
+      {Doc::kSpec, "\"name\":\"level\",", "", kInvalid,
+       "spec.communicators[1].name is missing"},
+      {Doc::kSpec, "\"type\":\"real\",\"init\":{\"real\":0}",
+       "\"type\":\"float\",\"init\":{\"real\":0}", kInvalid,
+       "spec.communicators[1].type has unknown type 'float'"},
+      {Doc::kSpec, "\"init\":{\"bool\":false}",
+       "\"init\":{\"bool\":false,\"int\":1}", kInvalid,
+       "spec.communicators[2].init must be null or a single-member "
+       "{real|int|bool: ...} object"},
+      {Doc::kSpec, "{\"real\":0.5}", "{\"real\":\"0.5\"}", kInvalid,
+       "spec.communicators[0].init.real must be a number"},
+      {Doc::kSpec, "{\"real\":0.5}", "{\"int\":0.5}", kInvalid,
+       "spec.communicators[0].init.int must be an integer"},
+      {Doc::kSpec, "\"init\":{\"real\":0}", "\"init\":{\"float\":0}",
+       kInvalid, "spec.communicators[1].init has unknown value kind 'float'"},
+      {Doc::kSpec, "{\"bool\":false}", "{\"bool\":0}", kInvalid,
+       "spec.communicators[2].init.bool must be a boolean"},
+      {Doc::kSpec, "\"period\":10", "\"period\":10.5", kInvalid,
+       "spec.communicators[0].period must be an integer"},
+      {Doc::kSpec, "\"lrc\":0.8", "\"lrc\":null", kInvalid,
+       "spec.communicators[2].lrc must be a number"},
+      {Doc::kSpec, "\"tasks\":[", "\"tasks\":{},\"x\":[", kInvalid,
+       "spec.tasks must be an array"},
+      {Doc::kSpec, "\"model\":\"independent\"", "\"model\":\"serial\"",
+       kInvalid, "spec.tasks[1].model has unknown failure model 'serial'"},
+      {Doc::kSpec, "\"instance\":0", "\"instance\":0.25", kInvalid,
+       "spec.tasks[0].inputs[0].instance must be an integer"},
+      {Doc::kSpec, "\"instance\":0", "\"instance\":9223372036854775808",
+       kInvalid, "spec.tasks[0].inputs[0].instance must be an integer"},
+      {Doc::kSpec, "\"instance\":0", "\"instance\":\"0\"", kInvalid,
+       "spec.tasks[0].inputs[0].instance must be a number"},
+      {Doc::kSpec, "{\"comm\":\"s\",\"instance\":0}", "{\"comm\":\"s\"}",
+       kInvalid, "spec.tasks[0].inputs[0].instance is missing"},
+      {Doc::kSpec, "{\"comm\":\"alarm\"", "{\"comm\":false", kInvalid,
+       "spec.tasks[1].outputs[0].comm must be a string"},
+      {Doc::kSpec, "[{\"comm\":\"level\",\"instance\":1}],\"outputs\":[{"
+                   "\"comm\":\"alarm\"",
+       "[\"level\"],\"outputs\":[{\"comm\":\"alarm\"", kInvalid,
+       "spec.tasks[1].inputs[0] must be an object"},
+      {Doc::kSpec, "\"inputs\":[{\"comm\":\"s\",\"instance\":0}]",
+       "\"inputs\":{\"comm\":\"s\",\"instance\":0}", kInvalid,
+       "spec.tasks[0].inputs must be an array"},
+      {Doc::kSpec, "\"defaults\":[{\"real\":0}]", "\"defaults\":{\"real\":0}",
+       kInvalid, "spec.tasks[0].defaults must be an array"},
+      {Doc::kSpec, "\"defaults\":[{\"real\":0}]", "\"defaults\":[null,7]",
+       kInvalid,
+       "spec.tasks[0].defaults[1] must be null or a single-member "
+       "{real|int|bool: ...} object"},
+      {Doc::kArch, "\"reliability\":0.97", "\"reliability\":\"high\"",
+       kInvalid, "arch.hosts[1].reliability must be a number"},
+      {Doc::kArch, "\"sensors\":[", "\"sensors\":null,\"x\":[", kInvalid,
+       "arch.sensors must be an array"},
+      {Doc::kArch, "\"host\":\"h1\",", "", kInvalid,
+       "arch.metrics[0].host is missing"},
+      {Doc::kArch, "\"wctt\":2", "\"wctt\":2.5", kInvalid,
+       "arch.metrics[1].wctt must be an integer"},
+      {Doc::kArch, "\"default_wcet\":4", "\"default_wcet\":4.5", kInvalid,
+       "arch.default_wcet must be an integer"},
+      {Doc::kArch, "\"default_wctt\":1", "\"default_wctt\":\"1\"", kInvalid,
+       "arch.default_wctt must be a number"},
+      {Doc::kImpl, "[\"h1\",\"h2\"]", "[\"h1\",2]", kInvalid,
+       "impl.task_mappings[0].hosts[1] must be a string"},
+      {Doc::kImpl, "\"hosts\":[\"h2\"]", "\"hosts\":\"h2\"", kInvalid,
+       "impl.task_mappings[1].hosts must be an array"},
+      {Doc::kImpl, "\"reexecutions\":1", "\"reexecutions\":1e-3", kInvalid,
+       "impl.task_mappings[0].reexecutions must be an integer"},
+      {Doc::kImpl, ",\"checkpoint_overhead\":0}]", "}]", kInvalid,
+       "impl.task_mappings[1].checkpoint_overhead is missing"},
+      {Doc::kImpl, "\"sensor\":\"gauge\"", "\"sensor\":{}", kInvalid,
+       "impl.sensor_bindings[0].sensor must be a string"},
+      {Doc::kImpl, "\"task_mappings\":[", "\"task_mappings\":true,\"x\":[",
+       kInvalid, "impl.task_mappings must be an array"},
+      {Doc::kFrame, "\"schema\":1", "", StatusCode::kParseError,
+       "json: expected object key at offset 1"},
+      {Doc::kFrame, "\"schema\":1", "\"schema\":3", kInvalid,
+       "request.schema 3 is not supported (expected 1)"},
+      {Doc::kFrame, "\"id\":\"e\",", "", kInvalid, "request.id is missing"},
+      {Doc::kFrame, "\"verb\":\"analyze\"", "\"verb\":\"analyse\"", kInvalid,
+       "request.verb: unknown verb 'analyse'"},
+      {Doc::kFrame, "\"verb\":\"analyze\"",
+       "\"verb\":\"analyze\",\"deadline_ms\":2.5", kInvalid,
+       "request.deadline_ms must be an integer"},
+      {Doc::kFrame, "\"verb\":\"analyze\"",
+       "\"verb\":\"analyze\",\"mutate\":{}", kInvalid,
+       "request: analyze needs exactly one of 'implementation' and "
+       "'mutate'"},
+      {Doc::kFrame, "\"spec\":", "\"fingerprint\":\"xyz\",\"spec\":",
+       kInvalid, "request.fingerprint must be 16 lowercase hex digits"},
+      {Doc::kFrame, "\"instance\":0", "\"instance\":-0.5", kInvalid,
+       "spec.tasks[0].inputs[0].instance must be an integer"},
+      {Doc::kFrame, "\"wcet\":3", "\"wcet\":[]", kInvalid,
+       "arch.metrics[0].wcet must be a number"},
+      {Doc::kFrame, "[\"h1\",\"h2\"]", "[\"h1\",null]", kInvalid,
+       "impl.task_mappings[0].hosts[1] must be a string"},
+  };
+  for (const DecodeCase& c : kCases) {
+    std::string text = canonical(c.doc);
+    if (c.find.empty()) {
+      text = std::string(c.replace);
+    } else {
+      const std::size_t at = text.find(c.find);
+      ASSERT_NE(at, std::string::npos) << c.find;
+      text.replace(at, c.find.size(), c.replace);
+    }
+    const Status status = decode(c.doc, text);
+    EXPECT_EQ(status.code(), c.code) << text;
+    EXPECT_EQ(status.message(), c.message) << text;
+  }
+  // The pristine documents decode (and the frame analyzes) cleanly.
+  for (const Doc doc : {Doc::kSpec, Doc::kArch, Doc::kImpl, Doc::kFrame}) {
+    EXPECT_TRUE(decode(doc, canonical(doc)).ok());
+  }
 }
 
 }  // namespace
