@@ -129,37 +129,48 @@ void write_validation_json(const sim::ValidationReport& report,
 
 }  // namespace
 
-/// A workload held hot: the built models, the canonical config of the
-/// last fully analyzed implementation, and the SrgEvaluator that analyzed
-/// it. `mutex` serializes all implementation-state access; the models are
-/// immutable after construction.
+/// A workload held hot: the built models, the last fully analyzed
+/// implementation with the host sets delta hits have moved since, and
+/// the SrgEvaluator that tracks both. `mutex` serializes all
+/// implementation-state access; the models are immutable after
+/// construction.
 struct Service::Resident {
   std::uint64_t fingerprint = 0;
   lrt::Workload workload;
 
   std::mutex mutex;
-  bool has_impl = false;
-  /// Canonical config of the resident implementation (TaskId-order
-  /// mappings, CommId-order bindings) — the rebuild fallback's source.
-  impl::ImplementationConfig impl_config;
-  std::vector<int> reexecutions;  ///< by TaskId
+  /// The last cold-analyzed implementation; its re-execution counts stay
+  /// current (a hit never changes them), its host sets are overridden by
+  /// `hit_hosts`.
+  std::optional<impl::Implementation> impl;
+  /// Ascending host sets installed by delta hits since the cold analysis.
+  std::unordered_map<spec::TaskId, std::vector<arch::HostId>> hit_hosts;
   /// The evaluator that analyzed the resident implementation; present
-  /// iff has_impl.
+  /// iff `impl` is.
   std::optional<reliability::SrgEvaluator> evaluator;
 
-  /// Records `impl`, analyzed by `analyzed`, as the resident
+  /// Records `built`, analyzed by `analyzed`, as the resident
   /// implementation after a fully successful cold analysis. Call with
   /// `mutex` held.
-  void prime(const impl::Implementation& impl,
-             reliability::SrgEvaluator analyzed) {
-    const std::size_t tasks = workload.spec->tasks().size();
-    impl_config = impl.to_config();
-    reexecutions.resize(tasks);
-    for (std::size_t t = 0; t < tasks; ++t) {
-      reexecutions[t] = impl.reexecutions(static_cast<spec::TaskId>(t));
-    }
+  void prime(impl::Implementation built, reliability::SrgEvaluator analyzed) {
+    impl = std::move(built);
+    hit_hosts.clear();
     evaluator = std::move(analyzed);
-    has_impl = true;
+  }
+
+  /// Canonical config of the current resident state (TaskId-order
+  /// mappings, CommId-order bindings): the rebuild fallback's source.
+  [[nodiscard]] impl::ImplementationConfig config() const {
+    impl::ImplementationConfig config = impl->to_config();
+    for (const auto& [task, hosts] : hit_hosts) {
+      std::vector<std::string>& names =
+          config.task_mappings[static_cast<std::size_t>(task)].hosts;
+      names.clear();
+      for (const arch::HostId h : hosts) {
+        names.push_back(workload.arch->host(h).name);
+      }
+    }
+    return config;
   }
 };
 
@@ -307,11 +318,11 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
   // resident state untouched.
   const auto analyze_cold = [&](impl::ImplementationConfig config) -> Status {
     LRT_ASSIGN_OR_RETURN(
-        const impl::Implementation impl,
+        impl::Implementation impl,
         lrt::build_implementation(resident->workload, std::move(config)));
     LRT_ASSIGN_OR_RETURN(reliability::SrgEvaluator evaluator,
                          reliability::evaluate(impl));
-    resident->prime(impl, std::move(evaluator));
+    resident->prime(std::move(impl), std::move(evaluator));
     if (s != nullptr) s->counter_add("service.analyze_cold");
     return Status::Ok();
   };
@@ -346,7 +357,7 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
       }
       new_reex = static_cast<int>(value);
     }
-    if (!resident->has_impl) {
+    if (!resident->impl.has_value()) {
       return FailedPreconditionError(
           "no implementation is resident for workload " +
           format_fingerprint(resident->fingerprint) +
@@ -364,7 +375,6 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
                                   "' must map to at least one host");
     }
     std::vector<arch::HostId> host_ids;
-    std::vector<std::string> host_names;
     for (const JsonValue& host_doc : hosts_doc->array) {
       if (!host_doc.is_string()) {
         return InvalidArgumentError(
@@ -384,38 +394,28 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
       return InvalidArgumentError("request.mutate: duplicate host for task '" +
                                   task_name + "'");
     }
-    host_names.reserve(host_ids.size());
-    for (const arch::HostId h : host_ids) {
-      host_names.push_back(arch.host(h).name);
-    }
 
-    const auto t = static_cast<std::size_t>(*task);
-    const int reex = new_reex.value_or(resident->reexecutions[t]);
-    if (reex == resident->reexecutions[t]) {
+    const int current_reex = resident->impl->reexecutions(*task);
+    const int reex = new_reex.value_or(current_reex);
+    if (reex == current_reex) {
       // Hit: one dirty-cone re-propagation; bit-identical to the cold
       // path by the SrgEvaluator contract. lrtd never rolls a resident
       // back, so the undo history is dropped at once rather than kept
       // growing for the resident's lifetime.
       resident->evaluator->set_task_hosts(*task, host_ids);
       resident->evaluator->discard_trail();
-      for (auto& mapping : resident->impl_config.task_mappings) {
-        if (mapping.task == task_name) {
-          mapping.hosts = host_names;
-          break;
-        }
-      }
+      resident->hit_hosts.insert_or_assign(*task, std::move(host_ids));
       if (s != nullptr) s->counter_add("service.analyze_hits");
     } else {
       // Re-execution change: rebuild from the mutated resident config
       // for authoritative semantics and error bytes.
-      impl::ImplementationConfig config = resident->impl_config;
-      for (auto& mapping : config.task_mappings) {
-        if (mapping.task == task_name) {
-          mapping.hosts = host_names;
-          mapping.reexecutions = reex;
-          break;
-        }
+      impl::ImplementationConfig config = resident->config();
+      auto& mapping = config.task_mappings[static_cast<std::size_t>(*task)];
+      mapping.hosts.clear();
+      for (const arch::HostId h : host_ids) {
+        mapping.hosts.push_back(arch.host(h).name);
       }
+      mapping.reexecutions = reex;
       LRT_RETURN_IF_ERROR(analyze_cold(std::move(config)));
     }
     summarize();
@@ -481,10 +481,9 @@ Result<std::string> Service::do_validate(const JsonValue& body) {
       const impl::Implementation impl,
       lrt::build_implementation(resident->workload, std::move(config)));
   sim::MonteCarloOptions options;
-  // One thread in and under each campaign: the service worker pool is
-  // the parallelism; nesting pools would oversubscribe.
+  // One thread per campaign: the service worker pool is the
+  // parallelism; nesting pools would oversubscribe.
   options.threads = 1;
-  options.simulation.threads = 1;
   if (const JsonValue* trials = body.find("trials")) {
     LRT_ASSIGN_OR_RETURN(options.trials,
                          json_to_int(*trials, "request.trials"));

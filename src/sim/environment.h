@@ -53,13 +53,10 @@ class Environment {
     return AdvanceGranularity::kEveryTick;
   }
 
-  /// Whether the parallel event engine may shard a run over this
-  /// environment. True promises: read_sensor() is a pure function of
-  /// (comm, now) — several logical processes may call it concurrently and
-  /// must see identical values — and write_actuator()/advance() are
-  /// no-ops (no physical state to advance). Stateful plants (e.g. the 3TS
-  /// integrator) keep the safe default; SimulationOptions::kParallelEvent
-  /// then coalesces to the sequential event engine.
+  /// Declares that read_sensor() is a pure function of (comm, now) and
+  /// that write_actuator()/advance() are no-ops (no physical state).
+  /// Informational only: no simulation engine reads it. It stays part of
+  /// the interface so environments that override it keep compiling.
   [[nodiscard]] virtual bool parallel_safe() const { return false; }
 };
 

@@ -1,16 +1,18 @@
 // Differential oracle for the event engine (ctest label `differential`):
 // Engine::kEvent must be bit-identical to Engine::kTick — results, value
 // traces, monitor callback sequences, RNG-driven fault outcomes, obs
-// counters — on randomized workloads, fault plans (including off-grid
-// scripted host events), timed execution, mid-run remaps, the adapt
-// self-healing path, the Monte Carlo runner at several thread counts, and
-// the lrt:: facade. A mismatch writes des-mismatch-<seed>.json next to
+// counters — on randomized workloads, multi-component designs (host-
+// disjoint pipeline groups joined by bridge tasks), fault plans
+// (including off-grid scripted host events), timed execution, mid-run
+// remaps, the adapt self-healing path, the Monte Carlo runner at several
+// thread counts, and the lrt:: facade. A mismatch writes des-mismatch-<seed>.json next to
 // the binary so CI can upload the failing workload spec as an artifact.
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <regex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -99,22 +101,36 @@ void expect_identical(const SimulationResult& tick,
   }
 }
 
+/// Counters only the event engine emits (its calendar diagnostics); every
+/// other "sim.*" counter is shared and must agree exactly.
+bool event_only_counter(std::string_view name) {
+  return name == "sim.events" || name == "sim.ticks_skipped" ||
+         name.starts_with("sim.queue_");
+}
+
 /// Runs the same configuration on both engines with fresh recording
-/// monitors and checks everything matched. On a mismatch, dumps the
-/// failing configuration for the CI artifact.
+/// monitors and private metrics registries, and checks everything
+/// matched. On a mismatch, dumps the failing configuration for the CI
+/// artifact.
 void expect_engines_agree(const impl::Implementation& impl,
                           Environment& tick_env, Environment& event_env,
                           SimulationOptions options, std::uint64_t seed,
                           const std::string& what) {
   RecordingMonitor tick_monitor;
+  obs::MetricsRegistry tick_metrics;
+  obs::Sink tick_sink(&tick_metrics, nullptr);
   options.engine = Engine::kTick;
   options.monitor = &tick_monitor;
+  options.sink = &tick_sink;
   const auto tick = simulate(impl, tick_env, options);
   ASSERT_TRUE(tick.ok()) << tick.status();
 
   RecordingMonitor event_monitor;
+  obs::MetricsRegistry event_metrics;
+  obs::Sink event_sink(&event_metrics, nullptr);
   options.engine = Engine::kEvent;
   options.monitor = &event_monitor;
+  options.sink = &event_sink;
   const auto event = simulate(impl, event_env, options);
   ASSERT_TRUE(event.ok()) << event.status();
 
@@ -122,6 +138,17 @@ void expect_engines_agree(const impl::Implementation& impl,
   EXPECT_EQ(tick_monitor.calls.size(), event_monitor.calls.size());
   EXPECT_TRUE(tick_monitor.calls == event_monitor.calls)
       << "monitor callback sequences diverged (" << what << ")";
+  const obs::MetricsSnapshot tick_counters = tick_metrics.snapshot();
+  const obs::MetricsSnapshot event_counters = event_metrics.snapshot();
+  for (const auto& [name, value] : tick_counters.counters) {
+    EXPECT_EQ(event_counters.counter(name), value) << name << " (" << what
+                                                   << ")";
+  }
+  for (const auto& [name, value] : event_counters.counters) {
+    if (event_only_counter(name)) continue;
+    EXPECT_EQ(tick_counters.counter(name), value) << name << " (" << what
+                                                  << ")";
+  }
   if (testing::Test::HasFailure()) {
     // Reproduction artifact: everything needed to replay the workload.
     std::ofstream artifact("des-mismatch-" + std::to_string(seed) + ".json");
@@ -150,6 +177,94 @@ SimulationOptions faulty_options(std::uint64_t seed, Time horizon_hint) {
       {.time = 2 * horizon_hint / 3 + 1, .host = 0, .up = true});
   return options;
 }
+
+/// G host-disjoint pipeline groups with one-directional data edges:
+///   group g:  sens -> g_c0 -> t1 -> g_c1 -> t2 -> g_c2
+///   bridge g (g>0): reads (g-1)_c2 and the foreign sensor (g-1)_c0,
+///                   writes g_c3.
+/// Every group's tasks are replicated on the group's private host pair,
+/// so votes stay intra-group while bridges carry values (and sensor
+/// reads) across components: a multi-component design the generator
+/// rarely produces.
+test::System multi_group_system(int groups) {
+  constexpr Time kPeriod = 10;
+  auto cname = [](int g, int k) {
+    return "g" + std::to_string(g) + "_c" + std::to_string(k);
+  };
+  auto tname = [](int g, const char* role) {
+    return "g" + std::to_string(g) + "_" + role;
+  };
+  spec::SpecificationConfig config;
+  config.name = "multigroup";
+  for (int g = 0; g < groups; ++g) {
+    for (int k = 0; k <= 2; ++k) {
+      config.communicators.push_back(test::comm(cname(g, k), kPeriod, 0.3));
+    }
+    if (g > 0) {
+      config.communicators.push_back(test::comm(cname(g, 3), kPeriod, 0.3));
+    }
+    config.tasks.push_back(
+        test::task(tname(g, "t1"), {{cname(g, 0), 0}}, {{cname(g, 1), 1}}));
+    config.tasks.push_back(
+        test::task(tname(g, "t2"), {{cname(g, 1), 1}}, {{cname(g, 2), 2}}));
+    if (g > 0) {
+      config.tasks.push_back(
+          test::task(tname(g, "bridge"),
+                     {{cname(g - 1, 2), 2}, {cname(g - 1, 0), 2}},
+                     {{cname(g, 3), 3}}));
+    }
+  }
+
+  test::System system;
+  system.spec =
+      std::make_unique<spec::Specification>(test::build_spec(config));
+
+  arch::ArchitectureConfig arch_config;
+  for (int g = 0; g < groups; ++g) {
+    arch_config.hosts.push_back({"h" + std::to_string(2 * g), 0.9});
+    arch_config.hosts.push_back({"h" + std::to_string(2 * g + 1), 0.9});
+  }
+  impl::ImplementationConfig impl_config;
+  for (int g = 0; g < groups; ++g) {
+    const std::vector<std::string> pair = {"h" + std::to_string(2 * g),
+                                           "h" + std::to_string(2 * g + 1)};
+    impl_config.task_mappings.push_back({tname(g, "t1"), pair});
+    impl_config.task_mappings.push_back({tname(g, "t2"), pair});
+    if (g > 0) impl_config.task_mappings.push_back({tname(g, "bridge"), pair});
+    arch_config.sensors.push_back({"sens_" + cname(g, 0), 0.95});
+    impl_config.sensor_bindings.push_back(
+        {cname(g, 0), "sens_" + cname(g, 0)});
+  }
+
+  auto arch_result = arch::Architecture::Build(std::move(arch_config));
+  EXPECT_TRUE(arch_result.ok()) << arch_result.status();
+  system.arch =
+      std::make_unique<arch::Architecture>(std::move(arch_result).value());
+  auto impl_result = impl::Implementation::Build(*system.spec, *system.arch,
+                                                 std::move(impl_config));
+  EXPECT_TRUE(impl_result.ok()) << impl_result.status();
+  system.impl =
+      std::make_unique<impl::Implementation>(std::move(impl_result).value());
+  return system;
+}
+
+/// A fault plan exercising every RNG site plus scripted availability
+/// flips on each group's first host, deliberately off the harmonic grid.
+SimulationOptions multi_group_options(std::uint64_t seed, int groups) {
+  SimulationOptions options;
+  options.periods = 40;
+  options.broadcast_reliability = 0.9;
+  options.faults.seed = seed * 7919 + 1;
+  for (int g = 0; g < groups; ++g) {
+    options.faults.host_events.push_back(
+        {.time = 7 + 13 * g, .host = 2 * g, .up = false});
+    options.faults.host_events.push_back(
+        {.time = 203 + 17 * g, .host = 2 * g, .up = true});
+  }
+  return options;
+}
+
+constexpr int kGroups = 3;
 
 // --- the differential suites ---
 
@@ -190,6 +305,70 @@ TEST(EventRuntimeDifferential, TimedExecutionMode) {
     NullEnvironment event_env;
     expect_engines_agree(*workload->implementation, tick_env, event_env,
                          options, seed, "timed execution");
+  }
+}
+
+// --- multi-component designs ---
+//
+// Designs whose host-disjoint components run side by side, joined only by
+// data edges. Votes stay inside a component while values and sensor reads
+// cross between them, a shape the default generator rarely produces.
+
+TEST(ParallelRuntimeDifferential, MultiGroupPipelineShards) {
+  const test::System groups = multi_group_system(kGroups);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SimulationOptions options = multi_group_options(seed, kGroups);
+    for (const auto& comm : groups.spec->communicators()) {
+      options.record_values_for.push_back(comm.name);
+    }
+    NullEnvironment tick_env;
+    NullEnvironment event_env;
+    expect_engines_agree(*groups.impl, tick_env, event_env, options, seed,
+                         "multi-group pipeline");
+  }
+}
+
+TEST(ParallelRuntimeDifferential, MultiGroupTimedExecution) {
+  // The default platform metrics give WCET and WCTT 1 everywhere, so every
+  // bridge read lands one tick after the producing write.
+  const test::System groups = multi_group_system(kGroups);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SimulationOptions options = multi_group_options(seed, kGroups);
+    options.model_execution_time = true;
+    NullEnvironment tick_env;
+    NullEnvironment event_env;
+    expect_engines_agree(*groups.impl, tick_env, event_env, options, seed,
+                         "timed groups");
+  }
+}
+
+TEST(ParallelRuntimeDifferential, RandomizedWorkloads) {
+  // Tree-structured dataflow (fan-in 1) from several sensors over up to
+  // six sparsely replicated hosts: generated designs made of several
+  // narrow chains spread over more hosts than the default shape uses.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Xoshiro256 rng(seed);
+    gen::WorkloadOptions shape;
+    shape.with_functions = true;
+    shape.tree_structured = true;
+    shape.min_sensors = 2;
+    shape.max_sensors = 4;
+    shape.max_fan_in = 1;
+    shape.min_hosts = 2;
+    shape.max_hosts = 6;
+    shape.replication_density = 0.2;
+    auto workload = gen::random_workload(rng, shape);
+    ASSERT_TRUE(workload.ok()) << workload.status();
+
+    SimulationOptions options =
+        faulty_options(seed, 40 * workload->specification->base_lcm());
+    for (const auto& comm : workload->specification->communicators()) {
+      options.record_values_for.push_back(comm.name);
+    }
+    NullEnvironment tick_env;
+    NullEnvironment event_env;
+    expect_engines_agree(*workload->implementation, tick_env, event_env,
+                         options, seed, "random multi-component workload");
   }
 }
 

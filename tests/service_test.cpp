@@ -262,6 +262,49 @@ TEST(Service, MutateHitIsByteIdenticalToColdRebuild) {
   EXPECT_EQ(hit, rebuilt);
 }
 
+TEST(Service, ReexecutionFallbackRebuildsFromHitState) {
+  // A two-task chain: a hit moves task2, then a re-execution change on
+  // task1 takes the rebuild fallback, which must start from the resident
+  // state including that hit. A later hit on task1 must see the new
+  // re-execution count as current.
+  const spec::SpecificationConfig spec_config = test::chain_spec_config(2);
+  const auto analyze_extra = [&](std::vector<std::string> task1_hosts,
+                                 int task1_reexecutions,
+                                 std::vector<std::string> task2_hosts) {
+    impl::ImplementationConfig impl_config;
+    impl_config.task_mappings = {
+        {"task1", std::move(task1_hosts), task1_reexecutions, 0, 0},
+        {"task2", std::move(task2_hosts), 0, 0, 0}};
+    impl_config.sensor_bindings = {{"c0", "gauge"}};
+    return "\"spec\":" + spec::to_json(spec_config) +
+           ",\"arch\":" + arch::to_json(make_arch_config()) +
+           ",\"implementation\":" + impl::to_json(impl_config);
+  };
+  Service warm;
+  const std::string fp = response_fingerprint(handle_ok(
+      warm, make_frame("c1", "analyze",
+                       analyze_extra({"h1", "h2"}, 0, {"h1", "h2"}))));
+  handle_ok(warm, make_frame("m1", "analyze",
+                             mutate_extra(fp, "task2", {"h2"})));
+  const std::string fallback = handle_ok(
+      warm, make_frame("m2", "analyze",
+                       "\"fingerprint\":\"" + fp +
+                           "\",\"mutate\":{\"task\":\"task1\","
+                           "\"hosts\":[\"h1\"],\"reexecutions\":1},"
+                           "\"full_report\":true"));
+  const std::string hit = handle_ok(
+      warm, make_frame("m3", "analyze",
+                       mutate_extra(fp, "task1", {"h2"}, true)));
+
+  Service fresh;
+  EXPECT_EQ(fallback,
+            handle_ok(fresh, make_frame("m2", "analyze",
+                                        analyze_extra({"h1"}, 1, {"h2"}))));
+  EXPECT_EQ(hit,
+            handle_ok(fresh, make_frame("m3", "analyze",
+                                        analyze_extra({"h2"}, 1, {"h2"}))));
+}
+
 /// Bytes the process holds from malloc (arena plus mmapped chunks).
 std::size_t heap_in_use() {
   const struct mallinfo2 info = ::mallinfo2();
