@@ -11,8 +11,9 @@
 //     pinned), plus the search effort counter of the latter;
 //   * install latency in INSTANTS: the lag from propose to the swap
 //     actually landing at an eligible hyper-period boundary;
-//   * engine identity: the whole transaction replayed on the tick and
-//     event engines must stay bit-identical (spec_swaps included).
+//   * replay identity: the whole transaction replayed from scratch must
+//     stay bit-identical (spec_swaps included); identity against the
+//     every-tick oracle is the differential suite's job.
 //
 // `--json <path>` writes the machine-readable summary gated in CI
 // against baselines/BENCH_update.json.
@@ -177,8 +178,7 @@ struct TransactionRun {
   double wall_ms = 0.0;
 };
 
-TransactionRun run_transaction(const System& system,
-                               sim::SimulationOptions::Engine engine) {
+TransactionRun run_transaction(const System& system) {
   adapt::UpdateEngine update_engine(*system.impl, policy(nullptr));
   if (const Status status = update_engine.propose(0, make_spec(true));
       !status.ok()) {
@@ -187,7 +187,6 @@ TransactionRun run_transaction(const System& system,
     std::abort();
   }
   sim::SimulationOptions options;
-  options.engine = engine;
   options.periods = kPeriods;
   options.faults.inject_invocation_faults = false;
   options.faults.inject_sensor_faults = false;
@@ -214,8 +213,8 @@ TransactionRun run_transaction(const System& system,
 struct Summary {
   ProposeCost refine;
   ProposeCost resynth;
-  TransactionRun tick;
-  TransactionRun event;
+  TransactionRun run;
+  TransactionRun replay;
   bool identical = false;
   spec::Time install_latency = 0;
 };
@@ -225,16 +224,14 @@ Summary measure() {
   Summary summary;
   summary.refine = time_propose(system, /*with_filter=*/false);
   summary.resynth = time_propose(system, /*with_filter=*/true);
-  summary.tick =
-      run_transaction(system, sim::SimulationOptions::Engine::kTick);
-  summary.event =
-      run_transaction(system, sim::SimulationOptions::Engine::kEvent);
-  summary.identical = sim::to_json(summary.tick.result) ==
-                          sim::to_json(summary.event.result) &&
-                      summary.tick.report.installed_at ==
-                          summary.event.report.installed_at;
+  summary.run = run_transaction(system);
+  summary.replay = run_transaction(system);
+  summary.identical = sim::to_json(summary.run.result) ==
+                          sim::to_json(summary.replay.result) &&
+                      summary.run.report.installed_at ==
+                          summary.replay.report.installed_at;
   summary.install_latency =
-      summary.tick.report.installed_at - summary.tick.report.proposed_at;
+      summary.run.report.installed_at - summary.run.report.proposed_at;
   return summary;
 }
 
@@ -253,14 +250,14 @@ void print_table() {
   std::printf("\ninstall latency: %lld instants (proposed@%lld, "
               "installed@%lld, earliest %lld)\n",
               static_cast<long long>(s.install_latency),
-              static_cast<long long>(s.tick.report.proposed_at),
-              static_cast<long long>(s.tick.report.installed_at),
+              static_cast<long long>(s.run.report.proposed_at),
+              static_cast<long long>(s.run.report.installed_at),
               static_cast<long long>(kEarliestInstall));
-  std::printf("transaction: %s after %lld spec swap(s); tick %.2f ms, "
-              "event %.2f ms, results %s\n",
-              to_string(s.tick.report.state).data(),
-              static_cast<long long>(s.tick.result.spec_swaps),
-              s.tick.wall_ms, s.event.wall_ms,
+  std::printf("transaction: %s after %lld spec swap(s); run %.2f ms, "
+              "replay %.2f ms, results %s\n",
+              to_string(s.run.report.state).data(),
+              static_cast<long long>(s.run.result.spec_swaps),
+              s.run.wall_ms, s.replay.wall_ms,
               s.identical ? "identical" : "DIVERGED");
 }
 
@@ -271,14 +268,14 @@ bool write_json(const std::string& path) {
   json.integer("periods", kPeriods);
   json.integer("identical", s.identical ? 1 : 0);
   json.integer("committed",
-               s.tick.report.state == adapt::UpdateState::kCommitted ? 1
-                                                                     : 0);
-  json.integer("spec_swaps", s.tick.result.spec_swaps);
+               s.run.report.state == adapt::UpdateState::kCommitted ? 1
+                                                                    : 0);
+  json.integer("spec_swaps", s.run.result.spec_swaps);
   json.integer("install_latency_instants", s.install_latency);
   json.integer("resynth_candidates", s.resynth.synth_candidates);
   json.number("refine_wall_ms", s.refine.wall_ms);
   json.number("resynth_wall_ms", s.resynth.wall_ms);
-  json.number("run_wall_ms", s.tick.wall_ms);
+  json.number("run_wall_ms", s.run.wall_ms);
   return json.write(path);
 }
 
@@ -305,8 +302,7 @@ BENCHMARK(BM_ProposeResynth)->Unit(benchmark::kMillisecond);
 void BM_UpdatedRun(benchmark::State& state) {
   const System system = running_system();
   for (auto _ : state) {
-    auto run = run_transaction(system,
-                               sim::SimulationOptions::Engine::kEvent);
+    auto run = run_transaction(system);
     benchmark::DoNotOptimize(run);
   }
 }

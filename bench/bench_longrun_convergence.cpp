@@ -7,20 +7,21 @@
 // interval width for u1, followed by the engine's parallel scaling
 // (trials/sec and speedup vs 1 thread).
 //
-// Long horizons are exactly where the simulation engine choice matters,
-// so the bench also races Engine::kTick against Engine::kEvent on two
-// workloads and checks the results are identical on each:
+// Long horizons are where the simulation loop's cost shows, so the bench
+// also races sim::simulate (the activation-table loop) against the
+// every-grid-tick oracle of tests/sim_tick_oracle.h on two workloads and
+// checks their report bytes are identical on each:
 //  * sparse — coprime periods 999/1000 force a unit grid step, so ~999
-//    of every 1000 ticks are idle: the regime the event core exists for
-//    (horizon/core-second plus events/second);
+//    of every 1000 ticks are idle: the regime skipping idle instants
+//    exists for (horizon/core-second plus events/second);
 //  * dense — the paper's 3TS closed loop on its ODE plant, where every
-//    grid tick is active and the plant advances once per tick on both
-//    engines, so the event core can skip nothing.
+//    grid tick is active and the plant advances once per tick on both,
+//    so nothing can be skipped and the per-instant body cost decides.
 // `--json <path>` writes the machine-readable summary gated in CI
 // against baselines/BENCH_longrun.json.
 //
 // Benchmarks: Monte Carlo throughput by thread count, raw single-run
-// simulation throughput on both engines.
+// simulation throughput (dense and sparse).
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -37,6 +38,7 @@
 #include "sim/runtime.h"
 #include "support/math_util.h"
 #include "support/rng.h"
+#include "tests/sim_tick_oracle.h"
 
 namespace {
 
@@ -57,7 +59,7 @@ sim::MonteCarloOptions mc_options(std::int64_t trials, std::int64_t periods,
 /// communicator periods — and cross-checked against the step the
 /// specification itself cached at Build time, so the bench's
 /// horizon/core-second arithmetic can never drift from the grid the
-/// engines actually run on.
+/// simulator actually runs on.
 spec::Time harmonic_step(const spec::Specification& specification) {
   std::vector<std::int64_t> periods;
   periods.reserve(specification.communicators().size());
@@ -75,7 +77,7 @@ spec::Time harmonic_step(const spec::Specification& specification) {
   return step;
 }
 
-// --- tick vs event engine on a sparse workload ---
+// --- loop vs every-tick oracle on a sparse workload ---
 
 struct SparseSystem {
   std::unique_ptr<spec::Specification> spec;
@@ -84,8 +86,8 @@ struct SparseSystem {
 };
 
 /// Coprime periods 999 and 1000: grid step 1, hyperperiod 999000, but
-/// only ~2000 activation instants per period — the regime the DES core
-/// exists for.
+/// only ~2000 activation instants per period — the regime skipping idle
+/// instants exists for.
 SparseSystem make_sparse_system() {
   spec::SpecificationConfig config;
   config.name = "sparse_des";
@@ -124,19 +126,19 @@ struct EngineRun {
   double wall_ms = 0.0;
   std::int64_t events = 0;
   std::int64_t ticks_skipped = 0;
-  std::int64_t queue_allocations = 0;
-  std::int64_t queue_resizes = 0;
 };
 
-/// One timed run of `options` (engine and horizon set by the caller) with
-/// a private metrics registry.
+/// One timed run of `options` (horizon set by the caller) with a private
+/// metrics registry, on sim::simulate or on the every-tick oracle.
 EngineRun run_engine(const impl::Implementation& impl, sim::Environment& env,
-                     sim::SimulationOptions options) {
+                     sim::SimulationOptions options, bool every_tick) {
   obs::MetricsRegistry metrics;
   obs::Sink sink(&metrics, nullptr);
   options.sink = &sink;
   const auto start = std::chrono::steady_clock::now();
-  auto result = sim::simulate(impl, env, options);
+  auto result = every_tick
+                    ? sim::oracle::simulate_every_tick(impl, env, options)
+                    : sim::simulate(impl, env, options);
   const auto stop = std::chrono::steady_clock::now();
   if (!result.ok()) {
     std::fprintf(stderr, "simulate failed: %s\n",
@@ -150,24 +152,20 @@ EngineRun run_engine(const impl::Implementation& impl, sim::Environment& env,
                     .count();
   run.events = snapshot.counter("sim.events");
   run.ticks_skipped = snapshot.counter("sim.ticks_skipped");
-  run.queue_allocations = snapshot.counter("sim.queue_allocations");
-  run.queue_resizes = snapshot.counter("sim.queue_resizes");
   return run;
 }
 
-EngineRun run_sparse(const impl::Implementation& impl,
-                     sim::SimulationOptions::Engine engine) {
+EngineRun run_sparse(const impl::Implementation& impl, bool every_tick) {
   sim::NullEnvironment env;
   sim::SimulationOptions options;
-  options.engine = engine;
   options.periods = kSparsePeriods;
-  return run_engine(impl, env, options);
+  return run_engine(impl, env, options, every_tick);
 }
 
 struct EngineComparison {
   spec::Time horizon_ticks = 0;
-  EngineRun tick;
-  EngineRun event;
+  EngineRun oracle;  ///< every grid tick
+  EngineRun loop;    ///< sim::simulate
   bool identical = false;
 };
 
@@ -176,11 +174,10 @@ EngineComparison compare_engines() {
   const spec::Time step = harmonic_step(*system.spec);
   EngineComparison cmp;
   cmp.horizon_ticks = kSparsePeriods * system.spec->hyperperiod() / step;
-  cmp.tick = run_sparse(*system.impl, sim::SimulationOptions::Engine::kTick);
-  cmp.event =
-      run_sparse(*system.impl, sim::SimulationOptions::Engine::kEvent);
+  cmp.oracle = run_sparse(*system.impl, /*every_tick=*/true);
+  cmp.loop = run_sparse(*system.impl, /*every_tick=*/false);
   cmp.identical =
-      sim::to_json(cmp.tick.result) == sim::to_json(cmp.event.result);
+      sim::to_json(cmp.oracle.result) == sim::to_json(cmp.loop.result);
   return cmp;
 }
 
@@ -189,26 +186,26 @@ double horizon_per_core_second(const EngineComparison& cmp, double wall_ms) {
   return static_cast<double>(cmp.horizon_ticks) / (wall_ms / 1e3);
 }
 
-// --- tick vs event engine on the paper's dense 3TS workload ---
+// --- loop vs every-tick oracle on the paper's dense 3TS workload ---
 
 constexpr std::int64_t kDensePeriods = 10'000;
-/// Each engine runs this many times; the fastest wall time is reported
+/// Each side runs this many times; the fastest wall time is reported
 /// (the bound is a 2x regression, so one-off scheduler noise must not
 /// decide it).
 constexpr int kDenseRepeats = 5;
 
 struct DenseComparison {
   spec::Time horizon_ticks = 0;
-  EngineRun tick;   ///< fastest of kDenseRepeats
-  EngineRun event;  ///< fastest of kDenseRepeats
-  /// Every repeat of both engines produced the same report bytes.
+  EngineRun oracle;  ///< fastest of kDenseRepeats
+  EngineRun loop;    ///< fastest of kDenseRepeats
+  /// Every repeat of both sides produced the same report bytes.
   bool identical = false;
 };
 
 /// The 3TS closed loop on its ODE plant: a stateful environment that
-/// advances once per grid tick on both engines, with an activation at
+/// advances once per grid tick on both sides, with an activation at
 /// every grid tick — the workload the paper is about, and the one where
-/// the event core has nothing to skip.
+/// there is nothing to skip.
 DenseComparison compare_dense() {
   auto system = plant::make_three_tank_system({});
   const spec::Specification& specification = *system->specification;
@@ -217,18 +214,15 @@ DenseComparison compare_dense() {
                       harmonic_step(specification);
   std::string reference;
   cmp.identical = true;
-  for (const auto engine : {sim::SimulationOptions::Engine::kTick,
-                            sim::SimulationOptions::Engine::kEvent}) {
-    EngineRun& best =
-        engine == sim::SimulationOptions::Engine::kTick ? cmp.tick
-                                                        : cmp.event;
+  for (const bool every_tick : {true, false}) {
+    EngineRun& best = every_tick ? cmp.oracle : cmp.loop;
     for (int repeat = 0; repeat < kDenseRepeats; ++repeat) {
       plant::ThreeTankEnvironment env({}, 0.4, 0.3);
       sim::SimulationOptions options;
-      options.engine = engine;
       options.periods = kDensePeriods;
       options.actuator_comms = {"u1", "u2"};
-      EngineRun run = run_engine(*system->implementation, env, options);
+      EngineRun run =
+          run_engine(*system->implementation, env, options, every_tick);
       const std::string json = sim::to_json(run.result);
       if (reference.empty()) reference = json;
       cmp.identical = cmp.identical && json == reference;
@@ -288,40 +282,38 @@ void print_table() {
               std::thread::hardware_concurrency());
 
   const EngineComparison cmp = compare_engines();
-  std::printf("\ntick vs event engine (sparse periods 999/1000, %lld "
-              "periods, horizon %lld ticks):\n",
+  std::printf("\nsimulation loop vs every-tick oracle (sparse periods "
+              "999/1000, %lld periods, horizon %lld ticks):\n",
               static_cast<long long>(kSparsePeriods),
               static_cast<long long>(cmp.horizon_ticks));
-  std::printf("%-8s %-12s %-18s %-12s %-14s\n", "engine", "wall ms",
+  std::printf("%-8s %-12s %-18s %-12s %-14s\n", "run", "wall ms",
               "horizon/core-s", "events", "ticks skipped");
-  std::printf("%-8s %-12.2f %-18.3g %-12s %-14s\n", "tick", cmp.tick.wall_ms,
-              horizon_per_core_second(cmp, cmp.tick.wall_ms), "-", "-");
-  std::printf("%-8s %-12.2f %-18.3g %-12lld %-14lld\n", "event",
-              cmp.event.wall_ms,
-              horizon_per_core_second(cmp, cmp.event.wall_ms),
-              static_cast<long long>(cmp.event.events),
-              static_cast<long long>(cmp.event.ticks_skipped));
+  std::printf("%-8s %-12.2f %-18.3g %-12s %-14s\n", "oracle",
+              cmp.oracle.wall_ms,
+              horizon_per_core_second(cmp, cmp.oracle.wall_ms), "-", "-");
+  std::printf("%-8s %-12.2f %-18.3g %-12lld %-14lld\n", "loop",
+              cmp.loop.wall_ms,
+              horizon_per_core_second(cmp, cmp.loop.wall_ms),
+              static_cast<long long>(cmp.loop.events),
+              static_cast<long long>(cmp.loop.ticks_skipped));
   std::printf("speedup %.1fx, results %s\n",
-              cmp.tick.wall_ms / std::max(cmp.event.wall_ms, 1e-6),
+              cmp.oracle.wall_ms / std::max(cmp.loop.wall_ms, 1e-6),
               cmp.identical ? "identical" : "DIVERGED");
-  std::printf("event queue: %lld allocations, %lld resizes\n",
-              static_cast<long long>(cmp.event.queue_allocations),
-              static_cast<long long>(cmp.event.queue_resizes));
 
   const DenseComparison dense = compare_dense();
-  std::printf("\ntick vs event engine (dense 3TS closed loop, %lld "
-              "periods, horizon %lld ticks, best of %d):\n",
+  std::printf("\nsimulation loop vs every-tick oracle (dense 3TS closed "
+              "loop, %lld periods, horizon %lld ticks, best of %d):\n",
               static_cast<long long>(kDensePeriods),
               static_cast<long long>(dense.horizon_ticks), kDenseRepeats);
-  std::printf("%-8s %-12s %-12s %-14s\n", "engine", "wall ms", "events",
+  std::printf("%-8s %-12s %-12s %-14s\n", "run", "wall ms", "events",
               "ticks skipped");
-  std::printf("%-8s %-12.2f %-12s %-14s\n", "tick", dense.tick.wall_ms, "-",
-              "-");
-  std::printf("%-8s %-12.2f %-12lld %-14lld\n", "event", dense.event.wall_ms,
-              static_cast<long long>(dense.event.events),
-              static_cast<long long>(dense.event.ticks_skipped));
-  std::printf("event/tick wall %.2fx, results %s\n",
-              dense.event.wall_ms / std::max(dense.tick.wall_ms, 1e-6),
+  std::printf("%-8s %-12.2f %-12s %-14s\n", "oracle", dense.oracle.wall_ms,
+              "-", "-");
+  std::printf("%-8s %-12.2f %-12lld %-14lld\n", "loop", dense.loop.wall_ms,
+              static_cast<long long>(dense.loop.events),
+              static_cast<long long>(dense.loop.ticks_skipped));
+  std::printf("loop/oracle wall %.2fx, results %s\n",
+              dense.loop.wall_ms / std::max(dense.oracle.wall_ms, 1e-6),
               dense.identical ? "identical" : "DIVERGED");
 }
 
@@ -332,21 +324,19 @@ bool write_json(const std::string& path) {
   json.integer("periods", kSparsePeriods);
   json.integer("horizon_ticks", cmp.horizon_ticks);
   json.integer("identical", cmp.identical ? 1 : 0);
-  json.integer("events", cmp.event.events);
-  json.integer("ticks_skipped", cmp.event.ticks_skipped);
-  json.number("tick_wall_ms", cmp.tick.wall_ms);
-  json.number("event_wall_ms", cmp.event.wall_ms);
+  json.integer("events", cmp.loop.events);
+  json.integer("ticks_skipped", cmp.loop.ticks_skipped);
+  json.number("oracle_wall_ms", cmp.oracle.wall_ms);
+  json.number("wall_ms", cmp.loop.wall_ms);
   json.number("speedup",
-              cmp.tick.wall_ms / std::max(cmp.event.wall_ms, 1e-6));
+              cmp.oracle.wall_ms / std::max(cmp.loop.wall_ms, 1e-6));
   json.number("events_per_second",
-              static_cast<double>(cmp.event.events) /
-                  std::max(cmp.event.wall_ms / 1e3, 1e-9));
-  json.number("tick_horizon_per_core_second",
-              horizon_per_core_second(cmp, cmp.tick.wall_ms));
-  json.number("event_horizon_per_core_second",
-              horizon_per_core_second(cmp, cmp.event.wall_ms));
-  json.integer("queue_allocations", cmp.event.queue_allocations);
-  json.integer("queue_resizes", cmp.event.queue_resizes);
+              static_cast<double>(cmp.loop.events) /
+                  std::max(cmp.loop.wall_ms / 1e3, 1e-9));
+  json.number("oracle_horizon_per_core_second",
+              horizon_per_core_second(cmp, cmp.oracle.wall_ms));
+  json.number("horizon_per_core_second",
+              horizon_per_core_second(cmp, cmp.loop.wall_ms));
 
   json.integer("hardware_concurrency",
                static_cast<std::int64_t>(std::thread::hardware_concurrency()));
@@ -355,15 +345,14 @@ bool write_json(const std::string& path) {
   json.integer("dense_periods", kDensePeriods);
   json.integer("dense_horizon_ticks", dense.horizon_ticks);
   json.integer("dense_identical", dense.identical ? 1 : 0);
-  json.integer("dense_events", dense.event.events);
-  json.integer("dense_ticks_skipped", dense.event.ticks_skipped);
-  json.number("dense_tick_wall_ms", dense.tick.wall_ms);
-  json.number("dense_event_wall_ms", dense.event.wall_ms);
-  json.number("dense_event_tick_ratio",
-              dense.event.wall_ms / std::max(dense.tick.wall_ms, 1e-6));
+  json.integer("dense_events", dense.loop.events);
+  json.integer("dense_ticks_skipped", dense.loop.ticks_skipped);
+  json.number("dense_oracle_wall_ms", dense.oracle.wall_ms);
+  json.number("dense_wall_ms", dense.loop.wall_ms);
+  json.number("dense_oracle_ratio",
+              dense.loop.wall_ms / std::max(dense.oracle.wall_ms, 1e-6));
   return json.write(path);
 }
-
 void BM_MonteCarloThroughput(benchmark::State& state) {
   auto system = plant::make_three_tank_system({});
   const auto options =
@@ -395,11 +384,8 @@ BENCHMARK(BM_SimulationThroughput)->Arg(1'000)->Arg(10'000);
 void BM_SparseHorizonThroughput(benchmark::State& state) {
   const SparseSystem system = make_sparse_system();
   sim::NullEnvironment env;
-  const auto engine =
-      static_cast<sim::SimulationOptions::Engine>(state.range(0));
   for (auto _ : state) {
     sim::SimulationOptions options;
-    options.engine = engine;
     options.periods = 2;
     auto result = sim::simulate(*system.impl, env, options);
     benchmark::DoNotOptimize(result);
@@ -408,10 +394,7 @@ void BM_SparseHorizonThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 *
                           system.spec->hyperperiod());
 }
-BENCHMARK(BM_SparseHorizonThroughput)
-    ->Arg(static_cast<int>(sim::SimulationOptions::Engine::kTick))
-    ->Arg(static_cast<int>(sim::SimulationOptions::Engine::kEvent))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SparseHorizonThroughput)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -12,22 +12,21 @@ script serves every bench that writes a --json summary:
     * result quality: the minimal cost changed in either engine;
     * wall clock: fast_wall_ms exceeds an absolute budget.
 
-  longrun_*    — the event-wheel simulation core must stay a faithful
-    fast path:
-    * identity: the tick and event engines must produce identical
-      results (identical == 1) — the CI-level differential oracle;
-    * determinism: events and ticks_skipped are exact (same workload,
-      same seeds — any drift is a semantics change);
-    * performance: the event/tick speedup must stay above a floor far
-      below the recorded value (machine noise headroom), and
-      event_wall_ms must fit an absolute budget;
-    * calendar queue: steady-state allocations must stay near the
-      baseline (the bucket/slot pools keep them flat);
-    * dense 3TS series (the paper's closed loop, every tick active):
-      the engines' report bytes must be identical (dense_identical == 1)
-      and the event count exact; on a runner with the baseline's core
-      count (like hardware) neither engine's wall time may exceed 2x the
-      baseline. The event/tick wall ratio is recorded, not gated.
+  longrun_*    — the simulation loop (sim::simulate) must stay a
+    faithful fast path of the every-grid-tick oracle:
+    * identity: the loop's and the oracle's report bytes must be
+      identical (identical == 1) on the sparse 999/1000-period series
+      and on the dense 3TS closed loop (dense_identical == 1) — the
+      CI-level differential oracle;
+    * determinism: horizon_ticks, events and ticks_skipped (and their
+      dense_* counterparts) are exact (same workload, same seeds — any
+      drift is a semantics change);
+    * performance: the sparse loop-vs-oracle speedup must stay above a
+      floor far below the recorded value; on a runner with the
+      baseline's core count (like hardware) neither the sparse nor the
+      dense loop wall time may exceed 2x the baseline, and the sparse
+      loop always fits an absolute budget. Oracle wall times are
+      recorded, not gated.
 
   analysis_*   — the SRG kernel and the cold analyze path:
     * determinism: the workload shape and the incremental dirty-cone
@@ -50,7 +49,7 @@ script serves every bench that writes a --json summary:
 
 Wall budgets are generous (~50-100x the recorded times) since CI machines
 are slower and noisier than the baseline recorder — except the analysis,
-dense-3TS and service cold-path rules, which catch a 2x regression on
+longrun and service cold-path rules, which catch a 2x regression on
 like hardware.
 
 Usage: check_bench_baseline.py <fresh.json> <baseline.json>
@@ -117,54 +116,38 @@ def check_synthesis(fresh, base):
 
 def check_longrun(fresh, base):
     failures = []
-    if fresh["identical"] != 1:
-        failures.append(
-            "identical: tick and event engine results DIVERGED — "
-            "the event core broke bit-identity")
+    for key, series in (("identical", "sparse"), ("dense_identical",
+                                                  "dense 3TS")):
+        if fresh[key] != 1:
+            failures.append(
+                f"{key}: the simulation loop and the every-tick oracle "
+                f"DIVERGED on the {series} series")
 
-    # Both engines are seeded and deterministic: the event count and the
-    # skipped-tick count must match the baseline exactly.
-    for key in ("horizon_ticks", "events", "ticks_skipped"):
+    # Both sides are seeded and deterministic: the activation count and
+    # the skipped-instant count must match the baseline exactly.
+    for key in ("horizon_ticks", "events", "ticks_skipped",
+                "dense_horizon_ticks", "dense_events",
+                "dense_ticks_skipped"):
         if fresh[key] != base[key]:
             failures.append(
                 f"{key}: {fresh[key]} != baseline {base[key]} "
-                "(event schedule changed)")
+                "(activation schedule changed)")
 
     if fresh["speedup"] < LONGRUN_SPEEDUP_FLOOR:
         failures.append(
             f"speedup: {fresh['speedup']:.1f}x < floor "
             f"{LONGRUN_SPEEDUP_FLOOR}x (baseline {base['speedup']:.1f}x): "
-            "the event engine lost its sparse-workload advantage")
+            "the loop lost its sparse-workload advantage")
 
-    if fresh["event_wall_ms"] > LONGRUN_WALL_BUDGET_MS:
+    if fresh["wall_ms"] > LONGRUN_WALL_BUDGET_MS:
         failures.append(
-            f"event_wall_ms: {fresh['event_wall_ms']:.3f} > budget "
+            f"wall_ms: {fresh['wall_ms']:.3f} > budget "
             f"{LONGRUN_WALL_BUDGET_MS} ms")
 
-    # Calendar-queue telemetry: a pooled steady state must not start
-    # reallocating (10% headroom for harmless stdlib/geometry changes).
-    limit = base["queue_allocations"] * COUNTER_TOLERANCE + 1
-    if fresh["queue_allocations"] > limit:
-        failures.append(
-            f"queue_allocations: {fresh['queue_allocations']} > "
-            f"{limit:.0f} (baseline {base['queue_allocations']} +10%): "
-            "the event queue's bucket/slot pooling regressed")
-
-    # Dense 3TS series: identity and the event schedule are
-    # machine-independent; wall time is only comparable on like hardware.
-    if fresh["dense_identical"] != 1:
-        failures.append(
-            "dense_identical: tick and event engine reports DIVERGED on "
-            "the 3TS closed loop")
-    for key in ("dense_horizon_ticks", "dense_events"):
-        if fresh[key] != base[key]:
-            failures.append(
-                f"{key}: {fresh[key]} != baseline {base[key]} "
-                "(dense event schedule changed)")
     factor = ANALYSIS_REGRESSION_FACTOR
     cores = fresh.get("hardware_concurrency", 0)
     if cores == base["hardware_concurrency"]:
-        for key in ("dense_tick_wall_ms", "dense_event_wall_ms"):
+        for key in ("wall_ms", "dense_wall_ms"):
             limit = base[key] * factor
             if fresh[key] > limit:
                 failures.append(
@@ -172,23 +155,21 @@ def check_longrun(fresh, base):
                     f"{base[key]:.3f} x {factor:g} on {cores} cores)")
     else:
         print(f"note: {cores} core(s) != baseline "
-              f"{base['hardware_concurrency']} — 2x dense wall bounds not "
-              "enforced (identity and event count still checked)")
+              f"{base['hardware_concurrency']} — 2x wall bounds not "
+              "enforced (identity, counts and the absolute budget still "
+              "checked)")
 
-    print(f"fresh:    identical={fresh['identical']} "
-          f"events={fresh['events']} "
-          f"speedup={fresh['speedup']:.1f}x "
-          f"event_wall={fresh['event_wall_ms']:.3f}ms")
-    print(f"baseline: identical={base['identical']} "
-          f"events={base['events']} "
-          f"speedup={base['speedup']:.1f}x "
-          f"event_wall={base['event_wall_ms']:.3f}ms")
     for label, data in (("fresh:   ", fresh), ("baseline:", base)):
+        print(f"{label} sparse: identical={data['identical']} "
+              f"events={data['events']} "
+              f"loop={data['wall_ms']:.3f}ms "
+              f"oracle={data['oracle_wall_ms']:.3f}ms "
+              f"speedup={data['speedup']:.1f}x")
         print(f"{label} dense 3TS: identical={data['dense_identical']} "
               f"events={data['dense_events']} "
-              f"tick={data['dense_tick_wall_ms']:.3f}ms "
-              f"event={data['dense_event_wall_ms']:.3f}ms "
-              f"event/tick={data['dense_event_tick_ratio']:.2f}x")
+              f"loop={data['dense_wall_ms']:.3f}ms "
+              f"oracle={data['dense_oracle_wall_ms']:.3f}ms "
+              f"loop/oracle={data['dense_oracle_ratio']:.2f}x")
     return failures
 
 
@@ -196,8 +177,8 @@ def check_update(fresh, base):
     failures = []
     if fresh["identical"] != 1:
         failures.append(
-            "identical: the updated run DIVERGED between the tick and "
-            "event engines — the hot-swap broke bit-identity")
+            "identical: the updated run DIVERGED when replayed — the "
+            "hot-swap is not deterministic")
     if fresh["committed"] != 1:
         failures.append(
             "committed: the live update no longer commits (rejected or "

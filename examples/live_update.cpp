@@ -13,16 +13,16 @@
 //     update commits exactly as many samples and updates as in a run that
 //     never updated (the filter is a pass-through, so even u1's value
 //     trace is bit-identical).
-//  3. Engine bit-identity: the whole transaction replayed on the
-//     calendar-queue event engine produces bit-identical traces, stats,
-//     and swap counts to the tick engine.
+//  3. Replay bit-identity: the whole transaction replayed from scratch
+//     produces bit-identical traces, stats, and swap counts (the runtime
+//     is deterministic, hot-swap included).
 //  4. Forced failure: a proposal whose spliced communicator carries an
 //     unattainable LRC is rejected at the verify stage; the running
 //     workload is never touched and the full value trace equals the
 //     never-updated run's.
 //
 // Build & run:
-//   ./build/examples/live_update [periods] [--engine tick|event]
+//   ./build/examples/live_update [periods]
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -154,10 +154,8 @@ impl::ImplementationConfig make_mapping() {
 
 /// Deterministic run options: faults off so every gate below is about the
 /// swap mechanics, not sampling noise.
-sim::SimulationOptions run_options(std::int64_t periods,
-                                   sim::SimulationOptions::Engine engine) {
+sim::SimulationOptions run_options(std::int64_t periods) {
   sim::SimulationOptions options;
-  options.engine = engine;
   options.periods = periods;
   options.faults.inject_invocation_faults = false;
   options.faults.inject_sensor_faults = false;
@@ -209,9 +207,7 @@ int main(int argc, char** argv) {
   ArgParser parser("live_update",
                    "transactional live update of the 3TS case study");
   parser.set_positional_usage("[periods]");
-  std::string engine_name = "tick";
-  parser.add_string("--engine", &engine_name,
-                    "simulation engine for the story run: tick | event");
+  parser.add_removed("--engine", "the simulator has a single engine");
   obs::SessionOptions obs_options;
   obs::add_session_flags(parser, &obs_options);
   if (const Status status = parser.parse(argc, argv); !status.ok()) {
@@ -226,14 +222,6 @@ int main(int argc, char** argv) {
   const auto& args = parser.positionals();
   const std::int64_t periods =
       args.size() > 0 ? std::atoll(args[0].c_str()) : 40;
-  if (engine_name != "tick" && engine_name != "event") {
-    std::fprintf(stderr, "unknown --engine '%s' (want tick | event)\n",
-                 engine_name.c_str());
-    return 2;
-  }
-  const auto story_engine =
-      engine_name == "event" ? sim::SimulationOptions::Engine::kEvent
-                             : sim::SimulationOptions::Engine::kTick;
   const obs::ScopedSession session(obs_options);
   bool ok = true;
 
@@ -257,20 +245,20 @@ int main(int argc, char** argv) {
   policy.earliest_install = swap_at;
 
   // --- part 1: committed splice ---------------------------------------
-  std::printf("--- live splice of filter1 at tick %lld (%s engine) ---\n",
-              static_cast<long long>(swap_at), engine_name.c_str());
-  const auto run_updated = [&](sim::SimulationOptions::Engine engine)
+  std::printf("--- live splice of filter1 at tick %lld ---\n",
+              static_cast<long long>(swap_at));
+  const auto run_updated = [&]()
       -> Result<std::pair<sim::SimulationResult, adapt::UpdateReport>> {
     adapt::UpdateEngine update_engine(*running, policy);
     LRT_RETURN_IF_ERROR(update_engine.propose(0, make_spec(true, 0.97)));
-    sim::SimulationOptions options = run_options(periods, engine);
+    sim::SimulationOptions options = run_options(periods);
     options.monitor = &update_engine;
     auto env = make_env();
     LRT_ASSIGN_OR_RETURN(sim::SimulationResult result,
                          sim::simulate(*running, env, options));
     return std::make_pair(std::move(result), update_engine.report());
   };
-  auto story = run_updated(story_engine);
+  auto story = run_updated();
   if (!story.ok()) {
     std::printf("update run error: %s\n", story.status().to_string().c_str());
     return 1;
@@ -289,7 +277,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- zero missed updates across the swap ---\n");
   auto baseline_env = make_env();
   const auto baseline = sim::simulate(
-      *running, baseline_env, run_options(periods, story_engine));
+      *running, baseline_env, run_options(periods));
   if (!baseline.ok()) {
     std::printf("baseline run error: %s\n",
                 baseline.status().to_string().c_str());
@@ -304,30 +292,28 @@ int main(int argc, char** argv) {
               traces_ok ? "bit-identical" : "DIVERGED");
   ok = ok && counts_ok && traces_ok;
 
-  // --- part 3: tick vs event bit-identity ------------------------------
-  std::printf("\n--- tick vs event engine ---\n");
-  auto tick = run_updated(sim::SimulationOptions::Engine::kTick);
-  auto event = run_updated(sim::SimulationOptions::Engine::kEvent);
-  if (!tick.ok() || !event.ok()) {
-    std::printf("engine comparison run error\n");
+  // --- part 3: replay bit-identity ------------------------------------
+  std::printf("\n--- replayed transaction ---\n");
+  auto replay = run_updated();
+  if (!replay.ok()) {
+    std::printf("replay run error\n");
     return 1;
   }
-  const bool engines_ok =
-      tick->first.spec_swaps == event->first.spec_swaps &&
-      tick->first.committed_updates == event->first.committed_updates &&
-      tick->first.invocations == event->first.invocations &&
-      same_comm_stats(tick->first, event->first, persisting) &&
-      same_traces(tick->first, event->first) &&
-      tick->second.installed_at == event->second.installed_at;
-  std::printf("tick vs event: %s\n",
-              engines_ok ? "bit-identical" : "DIVERGED");
-  ok = ok && engines_ok;
+  const bool replay_ok =
+      story->first.spec_swaps == replay->first.spec_swaps &&
+      story->first.committed_updates == replay->first.committed_updates &&
+      story->first.invocations == replay->first.invocations &&
+      same_comm_stats(story->first, replay->first, persisting) &&
+      same_traces(story->first, replay->first) &&
+      story->second.installed_at == replay->second.installed_at;
+  std::printf("replay: %s\n", replay_ok ? "bit-identical" : "DIVERGED");
+  ok = ok && replay_ok;
 
   // --- part 4: forced verify failure is atomic -------------------------
   std::printf("\n--- forced failure: unattainable LRC on f1 ---\n");
   UpdateOptions facade_options;
   facade_options.update = policy;
-  facade_options.run.simulation = run_options(periods, story_engine);
+  facade_options.run.simulation = run_options(periods);
   auto rejected = update(*workload, *running, make_spec(true, 0.9999),
                          facade_options);
   if (!rejected.ok()) {
@@ -343,7 +329,7 @@ int main(int argc, char** argv) {
     std::printf("propose error: %s\n", status.to_string().c_str());
     return 1;
   }
-  sim::SimulationOptions reject_run = run_options(periods, story_engine);
+  sim::SimulationOptions reject_run = run_options(periods);
   reject_run.monitor = &reject_engine;
   auto reject_env = make_env();
   const auto untouched = sim::simulate(*running, reject_env, reject_run);

@@ -4,7 +4,7 @@
 // refinement constraints only, so the expensive joint analysis never has to
 // be repeated (Prop. 2).
 //
-// Build & run:  ./build/examples/refinement_flow [--engine tick|event]
+// Build & run:  ./build/examples/refinement_flow
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -86,9 +86,7 @@ void report_validity(const char* label, const impl::Implementation& impl) {
 int main(int argc, char** argv) {
   ArgParser parser("refinement_flow",
                    "design-by-refinement walkthrough (paper Section 3)");
-  std::string engine_name = "tick";
-  parser.add_string("--engine", &engine_name,
-                    "simulation engine for step 4: tick | event");
+  parser.add_removed("--engine", "the simulator has a single engine");
   obs::SessionOptions obs_options;
   obs::add_session_flags(parser, &obs_options);
   const Status status = parser.parse(argc, argv);
@@ -101,11 +99,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "refinement_flow: %s\n",
                    status.to_string().c_str());
     std::fprintf(stderr, "%s", parser.usage().c_str());
-    return 2;
-  }
-  if (engine_name != "tick" && engine_name != "event") {
-    std::fprintf(stderr, "unknown --engine '%s' (want tick | event)\n",
-                 engine_name.c_str());
     return 2;
   }
   const obs::ScopedSession session(obs_options);
@@ -163,10 +156,8 @@ int main(int argc, char** argv) {
               "or reliability analysis was run for them.\n");
 
   // Step 4: exercise the accepted concrete system on the runtime the
-  // refinement guarantees extend to — either engine, same semantics.
+  // refinement guarantees extend to.
   sim::SimulationOptions run;
-  run.engine = engine_name == "event" ? sim::SimulationOptions::Engine::kEvent
-                                      : sim::SimulationOptions::Engine::kTick;
   run.periods = 200;
   sim::NullEnvironment env;
   const auto simulated = sim::simulate(*concrete_sys.impl, env, run);
@@ -176,9 +167,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const sim::CommStats* command = simulated->find("command");
-  std::printf("\nstep 4 — %lld periods on the %s engine: "
+  std::printf("\nstep 4 — %lld periods simulated: "
               "limavg(command)=%.4f (mu=0.85), divergences=%lld\n",
-              static_cast<long long>(simulated->periods), engine_name.c_str(),
+              static_cast<long long>(simulated->periods),
               command != nullptr ? command->limit_average : -1.0,
               static_cast<long long>(simulated->vote_divergences));
   return 0;

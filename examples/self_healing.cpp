@@ -61,9 +61,7 @@ int main(int argc, char** argv) {
   ArgParser parser("self_healing",
                    "adaptive-recovery validation of the 3TS case study");
   parser.set_positional_usage("[trials] [periods] [report.json]");
-  std::string engine_name = "tick";
-  parser.add_string("--engine", &engine_name,
-                    "simulation engine: tick | event (bit-identical)");
+  parser.add_removed("--engine", "the simulator has a single engine");
   obs::SessionOptions obs_options;
   obs::add_session_flags(parser, &obs_options);
   if (const Status status = parser.parse(argc, argv); !status.ok()) {
@@ -81,14 +79,6 @@ int main(int argc, char** argv) {
   const std::int64_t periods =
       args.size() > 1 ? std::atoll(args[1].c_str()) : 400;
   const std::string report_path = args.size() > 2 ? args[2] : "";
-  if (engine_name != "tick" && engine_name != "event") {
-    std::fprintf(stderr, "unknown --engine '%s' (want tick | event)\n",
-                 engine_name.c_str());
-    return 2;
-  }
-  const auto engine =
-      engine_name == "event" ? sim::SimulationOptions::Engine::kEvent
-                             : sim::SimulationOptions::Engine::kTick;
   const obs::ScopedSession session(obs_options);
   bool ok = true;
 
@@ -107,7 +97,6 @@ int main(int argc, char** argv) {
   }
   adapt::SelfHealingController controller(*system->implementation, healing);
   sim::SimulationOptions run;
-  run.engine = engine;
   run.faults = unplug_h1(periods);
   run.periods = periods;
   run.actuator_comms = {"u1", "u2"};
@@ -149,7 +138,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(periods));
   sim::MonteCarloOptions mc;
   mc.trials = trials;
-  mc.simulation.engine = engine;
   mc.simulation.periods = periods;
   mc.simulation.faults = unplug_h1(periods);
   mc.simulation.actuator_comms = {"u1", "u2"};

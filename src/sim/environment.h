@@ -15,9 +15,9 @@ namespace lrt::sim {
 /// All times are absolute ticks.
 class Environment {
  public:
-  /// Granularity contract for advance(). The tick engine always calls
-  /// advance() once per base tick; the event engine jumps across idle
-  /// spans and asks the environment how to bridge them:
+  /// Granularity contract for advance(). The simulator jumps across
+  /// idle spans between activation instants and asks the environment how
+  /// to bridge them:
   ///  * kEveryTick (safe default): advance() is replayed once per base
   ///    tick across the span — bit-identical for stateful integrators
   ///    whose result depends on the step sequence (e.g. the 3TS plant);
@@ -40,8 +40,8 @@ class Environment {
   virtual void write_actuator(std::string_view comm, spec::Time now,
                               const spec::Value& value) = 0;
 
-  /// Advance the physical model from `now` to `now + dt` (under the tick
-  /// engine: called once per base tick, after all commits of the tick).
+  /// Advance the physical model from `now` to `now + dt`, after all
+  /// commits of instant `now` (once per base tick for kEveryTick).
   virtual void advance(spec::Time now, spec::Time dt) {
     (void)now;
     (void)dt;
@@ -55,8 +55,8 @@ class Environment {
 
   /// Declares that read_sensor() is a pure function of (comm, now) and
   /// that write_actuator()/advance() are no-ops (no physical state).
-  /// Informational only: no simulation engine reads it. It stays part of
-  /// the interface so environments that override it keep compiling.
+  /// Informational only: the simulator does not read it. It stays part
+  /// of the interface so environments that override it keep compiling.
   [[nodiscard]] virtual bool parallel_safe() const { return false; }
 };
 

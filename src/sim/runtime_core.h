@@ -1,26 +1,25 @@
-// The shared per-instant simulation machine behind both engines.
+// The per-instant simulation machine and the activation table it
+// dispatches from.
 //
 // RuntimeCore owns every piece of simulation state (replications, latches,
 // pending broadcasts, EDF run queues, accumulators, RNG) and executes the
 // canonical tick body — host events, period-boundary hooks, commits,
 // recording, latching, task execution — as one deterministic function of
-// (now, state). The two engines differ ONLY in which instants they visit:
+// (now, state). What the body does at an instant is compiled once per
+// specification into an ActivationTable: the sorted distinct instants of
+// one specification period pi_S at which some communicator is accessed or
+// some task is released, each with its precomputed dispatch lists.
 //
-//  * sim::Runtime (runtime.cpp, Engine::kTick) calls tick() at every
-//    multiple of the harmonic grid step — the reference oracle;
-//  * sim::EventRuntime (event_runtime.cpp, Engine::kEvent) calls tick()
-//    only at instants where the body can do work, advancing processors and
-//    the environment across the gaps in one window.
+// The production loop (sim::simulate, runtime.cpp) visits only the table's
+// instants plus the grid instants scripted host events land on, and
+// bridges the gaps with one processor window and one environment advance.
+// At any other grid instant the body is a no-op beyond that advancement
+// (the activation-set argument of DESIGN.md section 5g), which the
+// every-grid-tick test oracle (tests/sim_tick_oracle.h) checks by driving
+// this same core at every grid instant.
 //
-// The tick body is a no-op (beyond environment/processor advancement) at
-// any instant that is not a multiple of some communicator period, a task
-// release, or a (grid-rounded) scripted host event — the activation-set
-// argument spelled out in DESIGN.md section 5g. Keeping the body in one
-// place is what makes the engines' traces bit-identical by construction:
-// there is no second copy of the semantics to drift.
-//
-// This header is an internal seam between the engines, not public API;
-// user code goes through sim::simulate / SimulationOptions::engine.
+// This header is an internal seam between the loop and its oracle, not
+// public API; user code goes through sim::simulate.
 #ifndef LRT_SIM_RUNTIME_CORE_H_
 #define LRT_SIM_RUNTIME_CORE_H_
 
@@ -50,6 +49,99 @@ struct PendingWrite {
   spec::Value value;
 };
 
+/// What the body does with one communicator accessed at an instant.
+enum class AccessKind : std::uint8_t {
+  kSample,  ///< sampled (Z_j), recorded and actuated; no update lands
+  kSensor,  ///< a sensor update (an input communicator with readers)
+  kVote,    ///< a task-written communicator whose write instant is due
+};
+
+/// One communicator accessed at an activation instant.
+struct CommAccess {
+  spec::CommId comm = -1;
+  AccessKind kind = AccessKind::kSample;
+  /// kVote only: the first epoch-relative instant the write commits. A
+  /// write instant w = pi_S shares slot 0 with the period boundary but
+  /// has nothing to commit at the epoch itself.
+  spec::Time due_from = 0;
+  friend bool operator==(const CommAccess&, const CommAccess&) = default;
+};
+
+/// Input j of `task` latches communicator `comm` at this instant.
+struct InputLatch {
+  spec::TaskId task = -1;
+  std::uint32_t input = 0;
+  spec::CommId comm = -1;
+  friend bool operator==(const InputLatch&, const InputLatch&) = default;
+};
+
+/// One specification period compiled into its activation instants: the
+/// sorted distinct epoch-relative instants in [0, pi_S) at which a
+/// communicator is accessed or a task is released (instant 0, the period
+/// boundary, is always present). Each instant carries its communicator
+/// accesses in CommId order, its input latches in (task, input) order,
+/// and its task releases in TaskId order — the orders the body's monitor
+/// callbacks and RNG draws follow. Built once per specification (at init
+/// and at every hot-swap); the body never scans the whole specification.
+class ActivationTable {
+ public:
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  [[nodiscard]] static ActivationTable Build(
+      const spec::Specification& specification);
+
+  /// Number of activation instants per specification period.
+  [[nodiscard]] std::size_t size() const { return at_.size(); }
+  /// Epoch-relative instant of `slot` (slot 0 is instant 0).
+  [[nodiscard]] spec::Time at(std::size_t slot) const { return at_[slot]; }
+  /// The slot of relative instant `rel` in [0, pi_S), or kNoSlot.
+  [[nodiscard]] std::size_t find(spec::Time rel) const;
+
+  [[nodiscard]] std::span<const CommAccess> accesses(std::size_t slot) const {
+    return range(accesses_, access_end_, slot);
+  }
+  [[nodiscard]] std::span<const InputLatch> latches(std::size_t slot) const {
+    return range(latches_, latch_end_, slot);
+  }
+  [[nodiscard]] std::span<const spec::TaskId> releases(
+      std::size_t slot) const {
+    return range(releases_, release_end_, slot);
+  }
+  /// Activations dispatched at `slot`: its communicator accesses, its task
+  /// releases, and (slot 0) the period boundary. The sim.events unit.
+  [[nodiscard]] std::int64_t activations(std::size_t slot) const {
+    return static_cast<std::int64_t>(accesses(slot).size() +
+                                     releases(slot).size()) +
+           (slot == 0 ? 1 : 0);
+  }
+  /// The slot at which output `k` of `task` commits (its write instant
+  /// modulo pi_S).
+  [[nodiscard]] std::size_t commit_slot(spec::TaskId task,
+                                        std::size_t k) const {
+    return commit_slot_[first_output_[static_cast<std::size_t>(task)] + k];
+  }
+
+ private:
+  template <typename T>
+  static std::span<const T> range(const std::vector<T>& items,
+                                  const std::vector<std::uint32_t>& ends,
+                                  std::size_t slot) {
+    const std::size_t begin = slot == 0 ? 0 : ends[slot - 1];
+    return {items.data() + begin, ends[slot] - begin};
+  }
+
+  std::vector<spec::Time> at_;
+  // Flat per-slot lists: slot s owns [end[s - 1], end[s]).
+  std::vector<std::uint32_t> access_end_;
+  std::vector<std::uint32_t> latch_end_;
+  std::vector<std::uint32_t> release_end_;
+  std::vector<CommAccess> accesses_;
+  std::vector<InputLatch> latches_;
+  std::vector<spec::TaskId> releases_;
+  std::vector<std::uint32_t> commit_slot_;   // [first_output_[t] + k]
+  std::vector<std::uint32_t> first_output_;  // by TaskId
+};
+
 class RuntimeCore {
  public:
   /// `phases` must be nonempty and share one specification/architecture;
@@ -64,14 +156,16 @@ class RuntimeCore {
 
   /// Executes the canonical body for instant `now`: host events, the
   /// period-boundary tracer span and monitor hook, communicator commits,
-  /// recording/actuation, input latching, and task execution. Instants
-  /// must be visited in strictly increasing order. Fails only on a
-  /// monitor remap targeting foreign models.
+  /// recording/actuation, input latching, and task execution, dispatched
+  /// from the activation table (a grid instant absent from the table only
+  /// applies host events). Instants must be visited in strictly
+  /// increasing order. Fails only on a monitor remap or hot-swap
+  /// targeting foreign models.
   [[nodiscard]] Status tick(spec::Time now);
 
   /// Timed execution mode: runs every host's preemptive-EDF processor
   /// over the window [from, to). The function is additive over window
-  /// splits, so engines may advance tick-by-tick or in one jump. No-op
+  /// splits, so a loop may advance tick-by-tick or in one jump. No-op
   /// when model_execution_time is off.
   void advance_processors(spec::Time from, spec::Time to);
 
@@ -94,23 +188,20 @@ class RuntimeCore {
   [[nodiscard]] spec::Time duration() const { return duration_; }
   /// The specification currently in force (changes on a hot-swap).
   [[nodiscard]] const spec::Specification& spec() const { return *spec_; }
+  /// The activation table of the specification currently in force; its
+  /// instants are relative to epoch().
+  [[nodiscard]] const ActivationTable& activations() const { return table_; }
   /// Instant the current specification took effect: its grid and period
   /// arithmetic are measured from here (0 until the first hot-swap).
   [[nodiscard]] spec::Time epoch() const { return epoch_; }
-  /// Bumped on every hot-swap. Engines watch this to rebuild calendars
-  /// derived from the outgoing specification.
+  /// Bumped on every hot-swap; a loop stepping through activations()
+  /// restarts from the new table when it changes.
   [[nodiscard]] std::int64_t generation() const { return generation_; }
   /// Scripted host events, time-sorted (valid after init()).
   [[nodiscard]] const std::vector<FaultPlan::HostEvent>& host_events() const {
     return host_events_;
   }
-  /// The monitor-installed mapping override, null until a remap commits.
-  /// Engines watch this to resynchronize release schedules after a remap.
-  [[nodiscard]] const impl::Implementation* override_mapping() const {
-    return override_;
-  }
   [[nodiscard]] const obs::Sink* sink() const { return sink_; }
-  [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
  private:
   /// Installs `next` (possibly targeting a different specification) at
@@ -120,26 +211,20 @@ class RuntimeCore {
   /// without timing entries.
   [[nodiscard]] Status install_swap(spec::Time now,
                                     const impl::Implementation* next);
+  /// Loads the WCET/WCTT of every (task, host) pair of `specification`
+  /// (timed execution mode).
+  [[nodiscard]] Status load_timing(const spec::Specification& specification);
+  /// Derives the per-specification lookups (activation table, pending
+  /// buckets, latches, recorded traces, actuators) from *spec_.
+  void derive_spec_tables();
   void apply_host_events(spec::Time now);
-  void commit_updates(spec::Time now);
-  void record_and_actuate(spec::Time now);
-  void latch_inputs(spec::Time now);
-  void execute_tasks(spec::Time now);
+  void commit_updates(spec::Time now, std::size_t slot);
+  void record_and_actuate(spec::Time now, std::size_t slot);
+  void latch_inputs(std::size_t slot);
+  void execute_tasks(spec::Time now, std::size_t slot);
   void deliver_outputs(spec::TaskId task, arch::HostId host,
                        spec::Time period_start, spec::Time available_at,
-                       const std::vector<spec::Value>& outputs);
-
-  /// The replication-consensus value of `comm` (the reliable atomic
-  /// broadcast keeps every host's row identical; host 0's is canonical).
-  [[nodiscard]] const spec::Value& committed(spec::CommId comm) const {
-    return values_.front()[static_cast<std::size_t>(comm)];
-  }
-
-  void set_all_replications(spec::CommId comm, const spec::Value& value) {
-    for (auto& host_values : values_) {
-      host_values[static_cast<std::size_t>(comm)] = value;
-    }
-  }
+                       std::span<const spec::Value> outputs);
 
   /// The implementation in force at absolute time `now`: a monitor remap
   /// or hot-swap once installed, otherwise the scheduled phase.
@@ -174,20 +259,29 @@ class RuntimeCore {
   spec::Time epoch_ = 0;
   /// Simulated horizon, frozen at init() from the initial specification.
   spec::Time duration_ = 0;
-  /// Incremented per hot-swap (engine calendars key off it).
+  /// Incremented per hot-swap.
   std::int64_t generation_ = 0;
+  ActivationTable table_;
 
-  // values_[host][comm]: the communicator replications.
-  std::vector<std::vector<spec::Value>> values_;
+  // values_[comm]: the committed value of every communicator replication.
+  // The reliable atomic broadcast delivers every update to every host, so
+  // all hosts' replications are one row.
+  std::vector<spec::Value> values_;
   std::vector<bool> host_up_;
   std::size_t next_host_event_ = 0;
   std::vector<FaultPlan::HostEvent> host_events_;
 
-  // latched_[host][task][input j]
-  std::vector<std::vector<std::vector<spec::Value>>> latched_;
+  // latched_[task][input j]: every replication of a task latches the same
+  // row, so one copy per task serves all of its hosts.
+  std::vector<std::vector<spec::Value>> latched_;
 
-  // Broadcast values keyed by absolute commit time.
-  std::map<spec::Time, std::vector<PendingWrite>> pending_;
+  // pending_[slot]: broadcast values committing at the table instant
+  // `slot`. Every write commits within one period of its release, so a
+  // slot never holds writes for two different absolute instants.
+  std::vector<std::vector<PendingWrite>> pending_;
+  // Per-instant scratch, reused so the body does not allocate.
+  std::vector<spec::Value> candidates_;
+  std::vector<spec::Value> inputs_;
 
   // Timed execution mode: one preemptive-EDF processor per host.
   struct ActiveJob {
@@ -202,10 +296,6 @@ class RuntimeCore {
   std::vector<spec::Time> wcet_;                    // [task * H + host]
   std::vector<spec::Time> wctt_;
 
-  // Per communicator: the relative write instants (pi_c * i for each output
-  // instance i of the writer task), used to decide when an update is due.
-  std::vector<std::vector<spec::Time>> write_instants_;
-
   SimulationResult result_;
   std::vector<ReliabilityAccumulator> accumulators_;   // access instants
   std::vector<ReliabilityAccumulator> update_accums_;  // update events
@@ -215,7 +305,9 @@ class RuntimeCore {
   std::map<std::string,
            std::pair<ReliabilityAccumulator, ReliabilityAccumulator>>
       retired_accums_;
-  std::vector<bool> record_values_;
+  /// Per communicator: its value trace in result_.value_traces, or null
+  /// when it is not recorded.
+  std::vector<std::vector<spec::Value>*> traces_;
   std::vector<bool> is_actuator_;
 };
 

@@ -44,6 +44,11 @@ void ArgParser::add_repeated(std::string name,
       {std::move(name), Kind::kRepeated, out, std::move(help)});
 }
 
+void ArgParser::add_removed(std::string name, std::string reason) {
+  options_.push_back(
+      {std::move(name), Kind::kRemoved, nullptr, std::move(reason)});
+}
+
 void ArgParser::set_positional_usage(std::string usage) {
   positional_usage_ = std::move(usage);
 }
@@ -83,6 +88,7 @@ Status ArgParser::store(const Option& option, std::string_view text) {
   errno = 0;
   switch (option.kind) {
     case Kind::kFlag:
+    case Kind::kRemoved:
       break;  // handled by the caller
     case Kind::kString:
       *static_cast<std::string*>(option.target) = value;
@@ -174,6 +180,11 @@ Status ArgParser::run(int& argc, char** argv, bool strict) {
       if (strict) positionals_.emplace_back(arg);
       continue;
     }
+    if (option->kind == Kind::kRemoved) {
+      failure = InvalidArgumentError(option->name + " was removed: " +
+                                     option->help);
+      continue;
+    }
     if (option->kind == Kind::kFlag) {
       if (has_inline_value) {
         failure = InvalidArgumentError(option->name +
@@ -218,6 +229,7 @@ std::string ArgParser::usage() const {
   std::string out = "usage: " + program_;
   if (!subcommands_.empty()) out += " COMMAND";
   for (const Option& option : options_) {
+    if (option.kind == Kind::kRemoved) continue;
     out += " [" + option.name;
     if (option.kind != Kind::kFlag) out += " VALUE";
     out += "]";
@@ -228,6 +240,7 @@ std::string ArgParser::usage() const {
   if (!description_.empty()) out += "\n" + description_ + "\n";
   if (!options_.empty()) out += "\n";
   for (const Option& option : options_) {
+    if (option.kind == Kind::kRemoved) continue;
     out += "  " + option.name;
     if (option.kind != Kind::kFlag) out += " VALUE";
     if (!option.help.empty()) {

@@ -35,6 +35,10 @@ class ArgParser {
   /// Value flag that may repeat; each occurrence appends.
   void add_repeated(std::string name, std::vector<std::string>* out,
                     std::string help);
+  /// A flag that no longer exists: any use of it (with or without a
+  /// value) fails parse() with "<name> was removed: <reason>", instead of
+  /// the generic unknown-flag error. Not listed in usage().
+  void add_removed(std::string name, std::string reason);
   /// One-line description of the trailing positional arguments, for
   /// usage() only (e.g. "<file.htl>...").
   void set_positional_usage(std::string usage);
@@ -66,7 +70,9 @@ class ArgParser {
   [[nodiscard]] std::string usage() const;
 
  private:
-  enum class Kind { kFlag, kString, kInt, kUint, kDouble, kRepeated };
+  enum class Kind {
+    kFlag, kString, kInt, kUint, kDouble, kRepeated, kRemoved
+  };
   struct Option {
     std::string name;  // including the leading "--"
     Kind kind = Kind::kFlag;

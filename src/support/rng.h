@@ -28,10 +28,10 @@ constexpr std::uint64_t absorb(std::uint64_t state, std::uint64_t word) {
 
 /// Stateless counter-based draw: a uniform 64-bit value that is a pure
 /// function of (seed, words...), independent of any generator state and
-/// hence of the order draws are made in. The simulation engines key every
-/// fault draw by its site (kind, time, entity, attempt), so the tick and
-/// event engines consume "the same randomness" whichever instants they
-/// visit, without replaying a shared stream.
+/// hence of the order draws are made in. The simulator keys every fault
+/// draw by its site (kind, time, entity, attempt), so the production loop
+/// and its every-tick oracle consume "the same randomness" whichever
+/// instants they visit, without replaying a shared stream.
 template <typename... Words>
 constexpr std::uint64_t keyed_bits(std::uint64_t seed, Words... words) {
   std::uint64_t state = absorb(0x243F6A8885A308D3ull, seed);

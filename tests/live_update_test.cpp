@@ -2,7 +2,7 @@
 // against a live 3TS runtime — dirty-cone diffing, the refinement fast
 // path vs pinned re-synthesis, boundary installs, probation rollback, and
 // verify-stage atomicity. Labeled `differential`: the committed splice is
-// replayed on both engines and must be bit-identical.
+// replayed on the every-grid-tick oracle and must be bit-identical.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +13,7 @@
 #include "adapt/live_update.h"
 #include "plant/three_tank_system.h"
 #include "sim/runtime.h"
+#include "tests/sim_tick_oracle.h"
 
 namespace lrt::adapt {
 namespace {
@@ -133,10 +134,8 @@ impl::ImplementationConfig make_mapping() {
 
 /// Deterministic run: faults off, plant-driven values, both controls
 /// actuated and traced.
-sim::SimulationOptions run_options(std::int64_t periods,
-                                   sim::SimulationOptions::Engine engine) {
+sim::SimulationOptions run_options(std::int64_t periods) {
   sim::SimulationOptions options;
-  options.engine = engine;
   options.periods = periods;
   options.faults.inject_invocation_faults = false;
   options.faults.inject_sensor_faults = false;
@@ -206,34 +205,41 @@ LiveUpdateOptions policy() {
   return options;
 }
 
+/// sim::simulate, or the every-grid-tick oracle when `every_tick`.
+Result<sim::SimulationResult> run_sim(const impl::Implementation& impl,
+                                      sim::Environment& env,
+                                      const sim::SimulationOptions& options,
+                                      bool every_tick) {
+  return every_tick ? sim::oracle::simulate_every_tick(impl, env, options)
+                    : sim::simulate(impl, env, options);
+}
+
 /// One full updated run: propose at 0, install at kSwapAt, run kPeriods.
 Result<std::pair<sim::SimulationResult, UpdateReport>> run_updated(
-    const Fixture& f, sim::SimulationOptions::Engine engine,
-    double filter_lrc = 0.97) {
+    const Fixture& f, bool every_tick = false, double filter_lrc = 0.97) {
   UpdateEngine update_engine(*f.impl, policy());
   LRT_RETURN_IF_ERROR(update_engine.propose(0, make_spec(true, filter_lrc)));
-  sim::SimulationOptions options = run_options(kPeriods, engine);
+  sim::SimulationOptions options = run_options(kPeriods);
   options.monitor = &update_engine;
   plant::ThreeTankEnvironment env(plant::ThreeTankParams{}, kSetpoint1,
                                   kSetpoint2);
   LRT_ASSIGN_OR_RETURN(sim::SimulationResult result,
-                       sim::simulate(*f.impl, env, options));
+                       run_sim(*f.impl, env, options, every_tick));
   return std::make_pair(std::move(result), update_engine.report());
 }
 
 sim::SimulationResult run_baseline(const Fixture& f,
-                                   sim::SimulationOptions::Engine engine) {
+                                   bool every_tick = false) {
   plant::ThreeTankEnvironment env(plant::ThreeTankParams{}, kSetpoint1,
                                   kSetpoint2);
-  auto result = sim::simulate(*f.impl, env, run_options(kPeriods, engine));
+  auto result = run_sim(*f.impl, env, run_options(kPeriods), every_tick);
   EXPECT_TRUE(result.ok()) << result.status();
   return *std::move(result);
 }
 
 TEST(LiveUpdate, CommittedSpliceInstallsAtBoundary) {
   const Fixture f = running_system();
-  const auto story =
-      run_updated(f, sim::SimulationOptions::Engine::kTick);
+  const auto story = run_updated(f);
   ASSERT_TRUE(story.ok()) << story.status();
   const UpdateReport& report = story->second;
   EXPECT_EQ(report.state, UpdateState::kCommitted) << report.summary();
@@ -257,22 +263,20 @@ TEST(LiveUpdate, ZeroMissedUpdatesAcrossSwap) {
   // must commit exactly the same updates — and the same VALUES — as one
   // that never updated, for every persisting communicator.
   const Fixture f = running_system();
-  const auto story =
-      run_updated(f, sim::SimulationOptions::Engine::kTick);
+  const auto story = run_updated(f);
   ASSERT_TRUE(story.ok()) << story.status();
   ASSERT_EQ(story->second.state, UpdateState::kCommitted);
-  const sim::SimulationResult baseline =
-      run_baseline(f, sim::SimulationOptions::Engine::kTick);
+  const sim::SimulationResult baseline = run_baseline(f);
   expect_same_comm_stats(story->first, baseline, kPersisting);
   expect_same_traces(story->first, baseline);
 }
 
 TEST(LiveUpdate, TickEventBitIdentity) {
   // The whole transaction — install instant included — replayed on the
-  // calendar-queue engine must be bit-identical to the tick engine.
+  // every-grid-tick oracle must be bit-identical to the production loop.
   const Fixture f = running_system();
-  const auto tick = run_updated(f, sim::SimulationOptions::Engine::kTick);
-  const auto event = run_updated(f, sim::SimulationOptions::Engine::kEvent);
+  const auto tick = run_updated(f, /*every_tick=*/true);
+  const auto event = run_updated(f);
   ASSERT_TRUE(tick.ok()) << tick.status();
   ASSERT_TRUE(event.ok()) << event.status();
   EXPECT_EQ(tick->second.installed_at, event->second.installed_at);
@@ -289,9 +293,8 @@ TEST(LiveUpdate, RejectedProposalLeavesRuntimeUntouched) {
   // f1 at LRC 0.9999 is unattainable on 0.99 hosts: verify must reject,
   // and the run must be indistinguishable from one that never proposed.
   const Fixture f = running_system();
-  for (const auto engine : {sim::SimulationOptions::Engine::kTick,
-                            sim::SimulationOptions::Engine::kEvent}) {
-    const auto story = run_updated(f, engine, /*filter_lrc=*/0.9999);
+  for (const bool every_tick : {true, false}) {
+    const auto story = run_updated(f, every_tick, /*filter_lrc=*/0.9999);
     ASSERT_TRUE(story.ok()) << story.status();
     const UpdateReport& report = story->second;
     EXPECT_EQ(report.state, UpdateState::kRejected) << report.summary();
@@ -299,7 +302,7 @@ TEST(LiveUpdate, RejectedProposalLeavesRuntimeUntouched) {
         << report.detail;
     EXPECT_EQ(report.installed_at, -1);
     EXPECT_EQ(story->first.spec_swaps, 0);
-    const sim::SimulationResult baseline = run_baseline(f, engine);
+    const sim::SimulationResult baseline = run_baseline(f, every_tick);
     expect_same_comm_stats(story->first, baseline, kPersisting);
     expect_same_traces(story->first, baseline);
   }
@@ -320,8 +323,7 @@ TEST(LiveUpdate, RefinementFastPathSkipsSynthesis) {
   EXPECT_TRUE(engine.report().refinement.refines)
       << engine.report().refinement.summary();
 
-  sim::SimulationOptions options =
-      run_options(kPeriods, sim::SimulationOptions::Engine::kTick);
+  sim::SimulationOptions options = run_options(kPeriods);
   options.monitor = &engine;
   plant::ThreeTankEnvironment env(plant::ThreeTankParams{}, kSetpoint1,
                                   kSetpoint2);

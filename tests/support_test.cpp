@@ -309,6 +309,23 @@ TEST(Hash, BytesAreStableAndSeedChained) {
   EXPECT_NE(hash_bytes(""), hash_bytes("", 1));
 }
 
+// --- ArgParser ---
+
+TEST(ArgParser, RemovedFlagFailsWithItsReason) {
+  for (const char* arg : {"--engine", "--engine=event"}) {
+    ArgParser parser("tool", "test tool");
+    parser.add_removed("--engine", "there is one simulation engine");
+    const char* argv[] = {"tool", arg, "event"};
+    const Status status = parser.parse(3, const_cast<char**>(argv));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find(
+                  "--engine was removed: there is one simulation engine"),
+              std::string::npos)
+        << status.to_string();
+    EXPECT_EQ(parser.usage().find("--engine"), std::string::npos);
+  }
+}
+
 // --- ArgParser subcommands ---
 
 TEST(ArgParser, SubcommandReceivesItsFlagValues) {
