@@ -5,12 +5,18 @@ checked-in baseline.
 The rule set is selected by the summary's "benchmark" field, so one gate
 script serves every bench that writes a --json summary:
 
-  synthesis_*  — the fast synthesis engine must not regress:
-    * search effort: candidates_evaluated or full_evals grew beyond a
-      small tolerance over the baseline (the counters are deterministic,
-      so any real growth is an algorithmic regression, not noise);
-    * result quality: the minimal cost changed in either engine;
-    * wall clock: fast_wall_ms exceeds an absolute budget.
+  synthesis_*  — the synthesis engine must not regress (the
+    `reference_*` keys describe the build-and-analyze test oracle):
+    * search effort: the exhaustive or greedy candidates_evaluated or
+      full_evals grew beyond a small tolerance over the baseline (the
+      counters are deterministic, so any real growth is an algorithmic
+      regression, not noise);
+    * result quality: the minimal cost changed (engine or oracle), or
+      the greedy cost changed;
+    * wall clock: fast_wall_ms exceeds an absolute budget, and on a
+      runner with the baseline's core count (like hardware) the
+      best-of-5 batched exhaustive time fast_best_wall_ms may not exceed
+      2x the baseline.
 
   longrun_*    — the simulation loop (sim::simulate) must stay a
     faithful fast path of the every-grid-tick oracle:
@@ -49,8 +55,8 @@ script serves every bench that writes a --json summary:
 
 Wall budgets are generous (~50-100x the recorded times) since CI machines
 are slower and noisier than the baseline recorder — except the analysis,
-longrun and service cold-path rules, which catch a 2x regression on
-like hardware.
+synthesis, longrun and service cold-path rules, which catch a 2x
+regression on like hardware.
 
 Usage: check_bench_baseline.py <fresh.json> <baseline.json>
 """
@@ -84,13 +90,14 @@ ANALYSIS_ANALYZE_BUDGET_US = 2500.0
 
 def check_synthesis(fresh, base):
     failures = []
-    for key in ("reference_cost", "fast_cost"):
+    for key in ("reference_cost", "fast_cost", "greedy_cost"):
         if fresh[key] != base[key]:
             failures.append(
                 f"{key}: {fresh[key]} != baseline {base[key]} "
                 "(synthesis result changed)")
 
-    for key in ("fast_candidates_evaluated", "fast_full_evals"):
+    for key in ("fast_candidates_evaluated", "fast_full_evals",
+                "greedy_candidates_evaluated", "greedy_full_evals"):
         limit = base[key] * COUNTER_TOLERANCE + 1
         if fresh[key] > limit:
             failures.append(
@@ -102,15 +109,31 @@ def check_synthesis(fresh, base):
             f"fast_wall_ms: {fresh['fast_wall_ms']:.3f} > budget "
             f"{SYNTHESIS_WALL_BUDGET_MS} ms")
 
-    print(f"fresh:    cost={fresh['fast_cost']} "
-          f"candidates={fresh['fast_candidates_evaluated']} "
-          f"full_evals={fresh['fast_full_evals']} "
-          f"wall={fresh['fast_wall_ms']:.3f}ms "
-          f"speedup={fresh['speedup']:.0f}x")
-    print(f"baseline: cost={base['fast_cost']} "
-          f"candidates={base['fast_candidates_evaluated']} "
-          f"full_evals={base['fast_full_evals']} "
-          f"wall={base['fast_wall_ms']:.3f}ms")
+    factor = ANALYSIS_REGRESSION_FACTOR
+    cores = fresh.get("hardware_concurrency", 0)
+    if cores == base["hardware_concurrency"]:
+        limit = base["fast_best_wall_ms"] * factor
+        if fresh["fast_best_wall_ms"] > limit:
+            failures.append(
+                f"fast_best_wall_ms: {fresh['fast_best_wall_ms']:.4f} > "
+                f"{limit:.4f} (baseline {base['fast_best_wall_ms']:.4f} x "
+                f"{factor:g} on {cores} cores)")
+    else:
+        print(f"note: {cores} core(s) != baseline "
+              f"{base['hardware_concurrency']} — 2x wall bound not "
+              "enforced (costs, effort counters and the absolute budget "
+              "still checked)")
+
+    for label, data in (("fresh:   ", fresh), ("baseline:", base)):
+        print(f"{label} cores={data['hardware_concurrency']} "
+              f"cost={data['fast_cost']} "
+              f"candidates={data['fast_candidates_evaluated']} "
+              f"full_evals={data['fast_full_evals']} "
+              f"wall={data['fast_wall_ms']:.3f}ms "
+              f"best={data['fast_best_wall_ms']:.4f}ms "
+              f"speedup={data['speedup']:.0f}x "
+              f"greedy cost={data['greedy_cost']} "
+              f"candidates={data['greedy_candidates_evaluated']}")
     return failures
 
 

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // The exhaustive strategy exercises the instrumented branch-and-bound
-  // fast engine (prunes, incumbent updates) on every planned repair; the
+  // search (prunes, incumbent updates) on every planned repair; the
   // planned mappings still pass all four gates below.
   adapt::SelfHealingOptions healing;
   healing.repair.strategy = synth::SynthesisOptions::Strategy::kExhaustive;

@@ -100,7 +100,6 @@ Result<RepairPlan> plan_repair(const impl::Implementation& current,
 
   synth::SynthesisOptions options;
   options.strategy = policy.strategy;
-  options.engine = policy.engine;
   options.threads = policy.threads;
   options.require_schedulable = policy.require_schedulable;
   options.max_replication_per_task = policy.max_replication_per_task;

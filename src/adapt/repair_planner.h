@@ -34,13 +34,9 @@ struct RepairPolicy {
   /// Synthesis strategy for the replacement mapping search.
   synth::SynthesisOptions::Strategy strategy =
       synth::SynthesisOptions::Strategy::kGreedy;
-  /// Search engine (see SynthesisOptions::Engine) — a repair on a live
-  /// system wants the incremental fast path; the reference engine stays
-  /// available for differential runs.
-  synth::SynthesisOptions::Engine engine =
-      synth::SynthesisOptions::Engine::kFast;
-  /// Worker threads for the fast exhaustive search (0 = all cores); the
-  /// planned repair is identical for every value.
+  /// Worker threads for the exhaustive search (0 = all cores); the planned
+  /// repair is identical for every value. A survivor set whose timing
+  /// tables have holes searches on one thread (see synth/synthesis.h).
   unsigned threads = 1;
   /// Also require the repaired mapping to pass the schedulability check.
   bool require_schedulable = true;

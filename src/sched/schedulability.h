@@ -80,7 +80,7 @@ struct SchedulabilityReport {
     const impl::Implementation& impl);
 
 /// EDF feasibility of one host's job set, with no report, no diagnostics,
-/// and no Implementation — the synthesis fast path's memoized gate runs
+/// and no Implementation — the synthesis engine's memoized gate runs
 /// this on jobs built from precomputed (task, host) tables. Shares the
 /// simulation core with analyze_schedulability, so the verdict is
 /// identical to the corresponding HostSchedule::feasible.

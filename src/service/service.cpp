@@ -443,7 +443,7 @@ Result<std::string> Service::do_synthesize(const JsonValue& body) {
   LRT_ASSIGN_OR_RETURN(
       std::vector<impl::ImplementationConfig::SensorBinding> bindings,
       decode_sensor_bindings(body, "request"));
-  synth::SynthesisOptions options;  // greedy, fast engine, one thread
+  synth::SynthesisOptions options;  // greedy, one thread
   if (const JsonValue* strategy = body.find("strategy")) {
     if (!strategy->is_string()) {
       return InvalidArgumentError("request.strategy must be a string");

@@ -36,65 +36,141 @@ struct WordsHash {
   }
 };
 
-/// Per-(task, usable host) job templates: every candidate mapping's job
-/// set is a selection from this table, so it is computed once per search.
-struct TimingTables {
-  std::vector<sched::JobWindow> jobs;  ///< [task * usable.size() + u]
-  std::vector<Time> wctt;              ///< same indexing (bus demand)
+/// One mapping's schedulability footprint, plus the gate's per-thread
+/// scratch: per-usable-host task bitsets ([u * words + w]), the summed
+/// bus demand (WCTTs), cache counters and lookup buffers (no allocation
+/// on the hit path in steady state).
+struct SchedLoad {
+  std::vector<std::uint64_t> bits;
+  Time bus = 0;
+  std::int64_t cache_hits = 0;
+  std::int64_t cache_misses = 0;
+  std::vector<std::uint64_t> key_buf;
+  std::vector<sched::JobWindow> job_buf;
 };
 
-/// Memoized per-host EDF feasibility. The verdict of one host's EDF
-/// simulation depends only on the set of tasks mapped onto it (each
-/// (task, host) job is fixed by the timing tables), so it is cached per
-/// (usable host, task bitset). Thread-safe: one mutex-guarded map per
-/// usable host; on a miss the simulation runs outside the lock (duplicate
-/// computation between racing threads is benign — same verdict).
+/// The schedulability side of the search: per-(task, usable host) job
+/// templates — every candidate mapping's job set is a selection from this
+/// table, so it is computed once per search — and memoized per-host EDF
+/// feasibility. The verdict of one host's EDF simulation depends only on
+/// the set of tasks mapped onto it, so it is cached per (usable host, task
+/// bitset). Thread-safe: one mutex-guarded map per usable host; on a miss
+/// the simulation runs outside the lock (duplicate computation between
+/// racing threads is benign — same verdict).
+///
+/// A (task, usable host) pair without a WCET or WCTT (no metric entry and
+/// no default) is a hole. It rejects nothing by itself: admits() returns
+/// the lookup error only for a mapping that places the task on that host,
+/// exactly as sched::analyze_schedulability would.
 class SchedGate {
  public:
-  SchedGate(std::size_t num_tasks, std::size_t num_usable,
-            std::vector<sched::JobWindow> jobs)
-      : words_((num_tasks + 63) / 64),
-        num_usable_(num_usable),
-        jobs_(std::move(jobs)),
-        shards_(num_usable) {}
+  SchedGate(const spec::Specification& spec, const arch::Architecture& arch,
+            const std::vector<HostId>& usable,
+            const impl::Implementation& ceiling)
+      : words_((spec.tasks().size() + 63) / 64),
+        num_usable_(usable.size()),
+        hyperperiod_(spec.hyperperiod()),
+        jobs_(spec.tasks().size() * usable.size()),
+        wctt_(jobs_.size(), 0),
+        shards_(usable.size()) {
+    for (TaskId t = 0; t < static_cast<TaskId>(spec.tasks().size()); ++t) {
+      const spec::Task& task = spec.task(t);
+      for (std::size_t u = 0; u < usable.size(); ++u) {
+        const std::size_t slot = static_cast<std::size_t>(t) * num_usable_ + u;
+        // analyze_schedulability's lookup order: WCET before WCTT.
+        const Result<Time> wcet = arch.wcet(task.name, usable[u]);
+        const Result<Time> wctt = arch.wctt(task.name, usable[u]);
+        if (!wcet.ok() || !wctt.ok()) {
+          holes_.emplace_back(slot, wcet.ok() ? wctt.status() : wcet.status());
+          continue;
+        }
+        sched::JobWindow& job = jobs_[slot];
+        job.task = t;
+        job.host = usable[u];
+        job.release = spec.read_time(t);
+        job.deadline = spec.write_time(t) - *wctt;
+        job.wcet = ceiling.reserved_demand(t, *wcet);
+        job.wctt = *wctt;
+        wctt_[slot] = *wctt;
+      }
+    }
+  }
 
-  /// Words per task bitset.
-  [[nodiscard]] std::size_t words() const { return words_; }
+  /// True when some (task, usable host) pair lacks a WCET or WCTT.
+  [[nodiscard]] bool has_holes() const { return !holes_.empty(); }
 
+  /// The footprint of the empty mapping.
+  [[nodiscard]] SchedLoad empty_load() const {
+    SchedLoad load;
+    load.bits.assign(num_usable_ * words_, 0);
+    return load;
+  }
+
+  /// Maps task `t` onto usable host `u` in `load` (and back).
+  void add(SchedLoad& load, TaskId t, std::size_t u) const {
+    const auto ts = static_cast<std::size_t>(t);
+    load.bits[u * words_ + ts / 64] |= std::uint64_t{1} << (ts % 64);
+    load.bus += wctt_[ts * num_usable_ + u];
+  }
+  void remove(SchedLoad& load, TaskId t, std::size_t u) const {
+    const auto ts = static_cast<std::size_t>(t);
+    load.bits[u * words_ + ts / 64] &= ~(std::uint64_t{1} << (ts % 64));
+    load.bus -= wctt_[ts * num_usable_ + u];
+  }
+
+  /// analyze_schedulability's verdict on the mapping in `load`: the lookup
+  /// error of its first hole (TaskId ascending, hosts ascending), else
+  /// whether the bus demand fits the hyperperiod and every host is
+  /// EDF-feasible.
+  Result<bool> admits(SchedLoad& load) {
+    for (const auto& [slot, status] : holes_) {
+      const std::size_t t = slot / num_usable_;
+      const std::size_t u = slot % num_usable_;
+      if ((load.bits[u * words_ + t / 64] >> (t % 64)) & 1u) return status;
+    }
+    if (load.bus > hyperperiod_) return false;
+    for (std::size_t u = 0; u < num_usable_; ++u) {
+      if (!feasible(u, load)) return false;
+    }
+    return true;
+  }
+
+ private:
   /// EDF feasibility of usable host `u` running exactly the tasks whose
-  /// bits are set in `taskset`. `key_buf`/`job_buf` are caller-owned
-  /// scratch (no allocation on the hit path in steady state).
-  bool feasible(std::size_t u, std::span<const std::uint64_t> taskset,
-                std::int64_t& hits, std::int64_t& misses,
-                std::vector<std::uint64_t>& key_buf,
-                std::vector<sched::JobWindow>& job_buf) {
-    key_buf.assign(taskset.begin(), taskset.end());
+  /// bits are set in `load`.
+  bool feasible(std::size_t u, SchedLoad& load) {
+    const std::span<const std::uint64_t> taskset(
+        load.bits.data() + u * words_, words_);
+    if (std::all_of(taskset.begin(), taskset.end(),
+                    [](std::uint64_t word) { return word == 0; })) {
+      return true;  // hostless job set is trivially feasible
+    }
+    load.key_buf.assign(taskset.begin(), taskset.end());
     Shard& shard = shards_[u];
     {
       const std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto it = shard.verdicts.find(key_buf);
+      const auto it = shard.verdicts.find(load.key_buf);
       if (it != shard.verdicts.end()) {
-        ++hits;
+        ++load.cache_hits;
         return it->second;
       }
     }
-    ++misses;
-    job_buf.clear();
+    ++load.cache_misses;
+    load.job_buf.clear();
     for (std::size_t w = 0; w < words_; ++w) {
       std::uint64_t word = taskset[w];
       while (word != 0) {
         const auto bit = static_cast<std::size_t>(std::countr_zero(word));
         word &= word - 1;
-        job_buf.push_back(jobs_[(w * 64 + bit) * num_usable_ + u]);
+        load.job_buf.push_back(jobs_[(w * 64 + bit) * num_usable_ + u]);
       }
     }
-    const bool ok = sched::edf_feasible(job_buf);
+    const bool ok = sched::edf_feasible(load.job_buf);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.verdicts.emplace(key_buf, ok);
+    shard.verdicts.emplace(load.key_buf, ok);
     return ok;
   }
 
- private:
   struct Shard {
     std::mutex mutex;
     std::unordered_map<std::vector<std::uint64_t>, bool, WordsHash> verdicts;
@@ -102,14 +178,18 @@ class SchedGate {
 
   std::size_t words_;
   std::size_t num_usable_;
-  std::vector<sched::JobWindow> jobs_;
+  Time hyperperiod_;
+  std::vector<sched::JobWindow> jobs_;  ///< [task * num_usable + u]
+  std::vector<Time> wctt_;              ///< same indexing; 0 at holes
+  /// (slot, lookup error) of every hole, slots ascending.
+  std::vector<std::pair<std::size_t, Status>> holes_;
   std::vector<Shard> shards_;
 };
 
 /// The full-replication mapping over the usable hosts, with the options'
 /// redundancy applied — one Implementation::Build that both validates the
-/// caller's sensor bindings (identically to the reference engine's first
-/// candidate build) and seeds the SRG ceiling evaluator.
+/// caller's sensor bindings (as building any candidate would) and seeds
+/// the SRG ceiling evaluator.
 Result<impl::Implementation> build_ceiling(
     const spec::Specification& spec, const arch::Architecture& arch,
     const std::vector<impl::ImplementationConfig::SensorBinding>& bindings,
@@ -131,35 +211,6 @@ Result<impl::Implementation> build_ceiling(
       assignment_config(spec, arch, bindings, assignment, options));
 }
 
-Result<TimingTables> build_timing_tables(const spec::Specification& spec,
-                                         const arch::Architecture& arch,
-                                         const std::vector<HostId>& usable,
-                                         const impl::Implementation& ceiling) {
-  TimingTables tables;
-  const std::size_t num_tasks = spec.tasks().size();
-  tables.jobs.resize(num_tasks * usable.size());
-  tables.wctt.resize(num_tasks * usable.size());
-  for (TaskId t = 0; t < static_cast<TaskId>(num_tasks); ++t) {
-    const spec::Task& task = spec.task(t);
-    for (std::size_t u = 0; u < usable.size(); ++u) {
-      const HostId h = usable[u];
-      LRT_ASSIGN_OR_RETURN(const Time wcet, arch.wcet(task.name, h));
-      LRT_ASSIGN_OR_RETURN(const Time wctt, arch.wctt(task.name, h));
-      sched::JobWindow job;
-      job.task = t;
-      job.host = h;
-      job.release = spec.read_time(t);
-      job.deadline = spec.write_time(t) - wctt;
-      job.wcet = ceiling.reserved_demand(t, wcet);
-      job.wctt = wctt;
-      const std::size_t slot = static_cast<std::size_t>(t) * usable.size() + u;
-      tables.jobs[slot] = job;
-      tables.wctt[slot] = wctt;
-    }
-  }
-  return tables;
-}
-
 /// Parallel best-first branch-and-bound over per-task host subsets.
 ///
 /// Invariant: while the search sits at depth t, tasks [0, t) carry their
@@ -176,7 +227,15 @@ Result<TimingTables> build_timing_tables(const spec::Specification& spec,
 /// while the subtree's path prefix is already lexicographically greater
 /// than that candidate's path. Both tests stay valid against a stale
 /// incumbent snapshot, so the winner is independent of thread scheduling
-/// and equal to the sequential reference engine's first minimal-cost leaf.
+/// and equal to the first minimal-cost leaf of a plain depth-first search.
+///
+/// Timing-table holes: the first leaf that meets every LRC but maps a task
+/// onto a hole aborts the search with that lookup error — the first such
+/// leaf in depth-first order. A sequential run reaches the LRC-meeting
+/// leaves in exactly that order (the ceiling prunes only subtrees without
+/// one; the cost bound drops exactly the leaves a depth-first search with
+/// `cost + remaining >= best` skips), so a search over tables with holes
+/// runs on a pool of 1.
 class BnbSearch {
  public:
   BnbSearch(const spec::Specification& spec, const arch::Architecture& arch,
@@ -188,8 +247,7 @@ class BnbSearch {
         bindings_(bindings),
         usable_(usable),
         options_(options),
-        num_tasks_(static_cast<TaskId>(spec.tasks().size())),
-        hyperperiod_(spec.hyperperiod()) {}
+        num_tasks_(static_cast<TaskId>(spec.tasks().size())) {}
 
   Result<SynthesisResult> run() {
     LRT_ASSIGN_OR_RETURN(
@@ -204,12 +262,7 @@ class BnbSearch {
       return unsatisfiable();
     }
     if (options_.require_schedulable) {
-      LRT_ASSIGN_OR_RETURN(tables_,
-                           build_timing_tables(spec_, arch_, usable_, ceiling));
-      gate_ = std::make_unique<SchedGate>(static_cast<std::size_t>(num_tasks_),
-                                          usable_.size(),
-                                          std::move(tables_.jobs));
-      words_ = gate_->words();
+      gate_ = std::make_unique<SchedGate>(spec_, arch_, usable_, ceiling);
     }
 
     const std::vector<std::vector<HostId>> raw = candidate_subsets(
@@ -248,7 +301,7 @@ class BnbSearch {
 
     if (num_tasks_ == 0) {
       // Degenerate: the empty assignment is the only candidate.
-      Worker w(*base_, 0, usable_.size() * words_);
+      Worker w(*base_, 0, empty_load());
       leaf(w, 0);
       collect(w);
     } else {
@@ -262,7 +315,8 @@ class BnbSearch {
         tops.resize(subsets_.size());
         std::iota(tops.begin(), tops.end(), std::size_t{0});
       }
-      ThreadPool pool(options_.threads);
+      const bool holes = gate_ != nullptr && gate_->has_holes();
+      ThreadPool pool(holes ? 1 : options_.threads);
       pool.parallel_for(static_cast<std::int64_t>(tops.size()),
                         [this, &tops](std::int64_t i) {
                           std::unique_ptr<Worker> w = acquire();
@@ -272,6 +326,7 @@ class BnbSearch {
       for (const std::unique_ptr<Worker>& w : idle_) collect(*w);
     }
 
+    if (!failure_.ok()) return failure_;
     if (best_cost_exact_ == kNoIncumbent) return unsatisfiable();
     std::vector<std::vector<HostId>> assignment;
     assignment.reserve(static_cast<std::size_t>(num_tasks_));
@@ -295,22 +350,17 @@ class BnbSearch {
 
   struct Worker {
     Worker(const reliability::SrgEvaluator& base, TaskId num_tasks,
-           std::size_t bit_words)
+           SchedLoad empty)
         : eval(base),
           path(static_cast<std::size_t>(num_tasks), 0),
-          bits(bit_words, 0) {}
+          load(std::move(empty)) {}
 
     reliability::SrgEvaluator eval;
-    std::vector<std::int32_t> path;   ///< subset index per task
-    std::vector<std::uint64_t> bits;  ///< [u * words + w] per-host task sets
-    Time bus = 0;
+    std::vector<std::int32_t> path;  ///< subset index per task
+    SchedLoad load;                  ///< unused without a gate
     std::int64_t full_evals = 0;
     std::int64_t incremental_evals = 0;
     std::int64_t subtrees_pruned = 0;
-    std::int64_t cache_hits = 0;
-    std::int64_t cache_misses = 0;
-    std::vector<std::uint64_t> key_buf;
-    std::vector<sched::JobWindow> job_buf;
     /// Possibly-stale copy of the incumbent. Staleness is safe: pruning
     /// only compares against it when it is a REAL valid candidate, and
     /// anything dominated by a stale incumbent is dominated by the final
@@ -336,8 +386,11 @@ class BnbSearch {
     }
     // At most pool-size workers are ever constructed; a finished worker's
     // DFS has fully unwound, so its evaluator is back at the ceiling.
-    return std::make_unique<Worker>(*base_, num_tasks_,
-                                    usable_.size() * words_);
+    return std::make_unique<Worker>(*base_, num_tasks_, empty_load());
+  }
+
+  [[nodiscard]] SchedLoad empty_load() const {
+    return gate_ != nullptr ? gate_->empty_load() : SchedLoad{};
   }
 
   void release(std::unique_ptr<Worker> w) {
@@ -349,26 +402,8 @@ class BnbSearch {
     result_.full_evals += w.full_evals;
     result_.incremental_evals += w.incremental_evals;
     result_.subtrees_pruned += w.subtrees_pruned;
-    result_.cache_hits += w.cache_hits;
-    result_.cache_misses += w.cache_misses;
-  }
-
-  void apply_sched(Worker& w, TaskId t, const Subset& sub) const {
-    if (gate_ == nullptr) return;
-    const auto ts = static_cast<std::size_t>(t);
-    for (const std::size_t u : sub.usable_index) {
-      w.bits[u * words_ + ts / 64] |= std::uint64_t{1} << (ts % 64);
-      w.bus += tables_.wctt[ts * usable_.size() + u];
-    }
-  }
-
-  void undo_sched(Worker& w, TaskId t, const Subset& sub) const {
-    if (gate_ == nullptr) return;
-    const auto ts = static_cast<std::size_t>(t);
-    for (const std::size_t u : sub.usable_index) {
-      w.bits[u * words_ + ts / 64] &= ~(std::uint64_t{1} << (ts % 64));
-      w.bus -= tables_.wctt[ts * usable_.size() + u];
-    }
+    result_.cache_hits += w.load.cache_hits;
+    result_.cache_misses += w.load.cache_misses;
   }
 
   /// Pulls the shared incumbent into the worker's snapshot when the
@@ -407,9 +442,13 @@ class BnbSearch {
       w.eval.rollback(m);
       return;
     }
-    apply_sched(w, t, sub);
+    if (gate_ != nullptr) {
+      for (const std::size_t u : sub.usable_index) gate_->add(w.load, t, u);
+    }
     descend(w, t + 1, cost + static_cast<std::int64_t>(sub.hosts.size()));
-    undo_sched(w, t, sub);
+    if (gate_ != nullptr) {
+      for (const std::size_t u : sub.usable_index) gate_->remove(w.load, t, u);
+    }
     w.eval.rollback(m);
   }
 
@@ -439,7 +478,7 @@ class BnbSearch {
       enter(w, t, s, cost);
       return;
     }
-    for (std::size_t s = 0; s < subsets_.size(); ++s) {
+    for (std::size_t s = 0; s < subsets_.size() && failure_.ok(); ++s) {
       maybe_refresh(w);
       const std::int64_t lb = cost +
                               static_cast<std::int64_t>(
@@ -459,6 +498,7 @@ class BnbSearch {
   }
 
   void top_level(Worker& w, std::size_t s) {
+    if (!failure_.ok()) return;
     maybe_refresh(w);
     const std::int64_t lb =
         static_cast<std::int64_t>(subsets_[s].hosts.size()) + (num_tasks_ - 1);
@@ -475,18 +515,12 @@ class BnbSearch {
     // schedulability gate remains.
     ++w.full_evals;
     if (gate_ != nullptr) {
-      if (w.bus > hyperperiod_) return;
-      for (std::size_t u = 0; u < usable_.size(); ++u) {
-        const std::span<const std::uint64_t> taskset(
-            w.bits.data() + u * words_, words_);
-        bool empty = true;
-        for (const std::uint64_t word : taskset) empty = empty && word == 0;
-        if (empty) continue;  // hostless job set is trivially feasible
-        if (!gate_->feasible(u, taskset, w.cache_hits, w.cache_misses,
-                             w.key_buf, w.job_buf)) {
-          return;
-        }
+      Result<bool> admitted = gate_->admits(w.load);
+      if (!admitted.ok()) {
+        failure_ = admitted.status();  // only on a pool of 1, see run()
+        return;
       }
+      if (!*admitted) return;
     }
     const std::lock_guard<std::mutex> lock(best_mutex_);
     if (cost < best_cost_exact_ ||
@@ -507,7 +541,6 @@ class BnbSearch {
   const std::vector<HostId>& usable_;
   const SynthesisOptions& options_;
   const TaskId num_tasks_;
-  const Time hyperperiod_;
 
   /// The ceiling evaluator workers are cloned from; optional only because
   /// SrgEvaluator has no public default constructor — set once in run().
@@ -517,9 +550,9 @@ class BnbSearch {
   /// resolved against subsets_ once, so the hot descend() path compares an
   /// int instead of host vectors.
   std::vector<std::int32_t> pinned_subset_;
-  TimingTables tables_;
   std::unique_ptr<SchedGate> gate_;
-  std::size_t words_ = 0;
+  /// The lookup error that aborted the search (hole tables only).
+  Status failure_;
 
   std::mutex workers_mutex_;
   std::vector<std::unique_ptr<Worker>> idle_;
@@ -592,18 +625,6 @@ impl::ImplementationConfig assignment_config(
   return config;
 }
 
-bool timing_tables_complete(const spec::Specification& spec,
-                            const arch::Architecture& arch,
-                            const std::vector<HostId>& usable) {
-  for (const spec::Task& task : spec.tasks()) {
-    for (const HostId h : usable) {
-      if (!arch.wcet(task.name, h).ok()) return false;
-      if (!arch.wctt(task.name, h).ok()) return false;
-    }
-  }
-  return true;
-}
-
 Result<SynthesisResult> fast_exhaustive(
     const spec::Specification& spec, const arch::Architecture& arch,
     const std::vector<impl::ImplementationConfig::SensorBinding>& bindings,
@@ -632,8 +653,8 @@ Result<SynthesisResult> fast_greedy(
 
   SynthesisResult result;
 
-  // Start: every task on the single most reliable usable host — the
-  // reference engine's starting point, ties to the lowest HostId.
+  // Start: every task on the single most reliable usable host, ties to the
+  // lowest HostId; a pinned task starts (and stays) on its pinned set.
   HostId best_host = usable.front();
   for (const HostId h : usable) {
     if (arch.host(h).reliability > arch.host(best_host).reliability) {
@@ -656,36 +677,22 @@ Result<SynthesisResult> fast_greedy(
   }
   eval.discard_trail();  // the repair loop never backtracks
 
-  // Schedulability state: per-host task bitsets and the running bus
-  // demand, updated once per repair move.
-  const bool sched = options.require_schedulable;
-  TimingTables tables;
-  std::unique_ptr<SchedGate> gate;
+  // Schedulability state, updated once per repair move.
+  std::optional<SchedGate> gate;
+  SchedLoad load;
   std::vector<std::size_t> usable_index_of(arch.hosts().size(), 0);
-  std::vector<std::uint64_t> bits;
-  std::size_t words = 0;
-  Time bus = 0;
-  if (sched) {
-    LRT_ASSIGN_OR_RETURN(tables,
-                         build_timing_tables(spec, arch, usable, ceiling));
-    gate = std::make_unique<SchedGate>(static_cast<std::size_t>(num_tasks),
-                                       usable.size(), std::move(tables.jobs));
-    words = gate->words();
+  if (options.require_schedulable) {
+    gate.emplace(spec, arch, usable, ceiling);
+    load = gate->empty_load();
     for (std::size_t u = 0; u < usable.size(); ++u) {
       usable_index_of[static_cast<std::size_t>(usable[u])] = u;
     }
-    bits.assign(usable.size() * words, 0);
     for (TaskId t = 0; t < num_tasks; ++t) {
-      const auto ts = static_cast<std::size_t>(t);
-      for (const HostId h : assignment[ts]) {
-        const std::size_t u = usable_index_of[static_cast<std::size_t>(h)];
-        bits[u * words + ts / 64] |= std::uint64_t{1} << (ts % 64);
-        bus += tables.wctt[ts * usable.size() + u];
+      for (const HostId h : assignment[static_cast<std::size_t>(t)]) {
+        gate->add(load, t, usable_index_of[static_cast<std::size_t>(h)]);
       }
     }
   }
-  std::vector<std::uint64_t> key_buf;
-  std::vector<sched::JobWindow> job_buf;
 
   // Support set of a communicator: the tasks whose reliability its SRG
   // depends on (writer, then transitively the writers of its inputs,
@@ -718,22 +725,14 @@ Result<SynthesisResult> fast_greedy(
   while (true) {
     ++result.full_evals;
     bool ok = eval.all_lrcs_satisfied();
-    if (ok && sched) {
-      ok = bus <= spec.hyperperiod();
-      for (std::size_t u = 0; ok && u < usable.size(); ++u) {
-        const std::span<const std::uint64_t> taskset(bits.data() + u * words,
-                                                     words);
-        bool empty = true;
-        for (const std::uint64_t word : taskset) empty = empty && word == 0;
-        if (empty) continue;
-        ok = gate->feasible(u, taskset, result.cache_hits,
-                            result.cache_misses, key_buf, job_buf);
-      }
+    if (ok && gate.has_value()) {
+      // A hole in a reliable mapping is the lookup error itself.
+      LRT_ASSIGN_OR_RETURN(ok, gate->admits(load));
     }
     if (ok) break;
 
     // Most-violated unrelaxed communicator; CommId order with ties to the
-    // first, exactly the reference loop's min_element over violations().
+    // first (min_element over the report's violations).
     CommId worst = -1;
     double worst_slack = 0.0;
     for (CommId c = 0; c < num_comms; ++c) {
@@ -792,12 +791,9 @@ Result<SynthesisResult> fast_greedy(
     ++result.incremental_evals;
     eval.set_task_hosts(move_task, hosts);
     eval.discard_trail();
-    if (sched) {
-      const auto ts = static_cast<std::size_t>(move_task);
-      const std::size_t u =
-          usable_index_of[static_cast<std::size_t>(move_host)];
-      bits[u * words + ts / 64] |= std::uint64_t{1} << (ts % 64);
-      bus += tables.wctt[ts * usable.size() + u];
+    if (gate.has_value()) {
+      gate->add(load, move_task,
+                usable_index_of[static_cast<std::size_t>(move_host)]);
     }
 
     std::size_t total = 0;
@@ -809,6 +805,8 @@ Result<SynthesisResult> fast_greedy(
 
   result.config = assignment_config(spec, arch, bindings, assignment, options);
   for (const auto& set : assignment) result.replication_count += set.size();
+  result.cache_hits = load.cache_hits;
+  result.cache_misses = load.cache_misses;
   result.candidates_evaluated = result.full_evals + result.incremental_evals;
   return result;
 }

@@ -1,13 +1,16 @@
-// Internals shared between the synthesis engines, plus the fast engine
-// itself (see synthesis.h for the user-facing contract).
+// The synthesis engine's internals (see synthesis.h for the user-facing
+// contract).
 //
-// The fast engine evaluates candidates with reliability::SrgEvaluator
-// (incremental SRG re-propagation, undo-trail backtracking) instead of the
-// reference engine's per-candidate Implementation::Build + analyze, gates
-// complete mappings with a memoized per-host EDF check, prunes subtrees by
-// the admissible SRG ceiling (remaining tasks at full replication), and
-// can explore top-level exhaustive subtrees in parallel while returning
-// the exact mapping the sequential reference engine returns.
+// The engine evaluates candidates with reliability::SrgEvaluator
+// (incremental SRG re-propagation, undo-trail backtracking) instead of a
+// per-candidate Implementation::Build + analyze, gates complete mappings
+// with a memoized per-host EDF check, prunes subtrees by the admissible
+// SRG ceiling (remaining tasks at full replication), and can explore
+// top-level exhaustive subtrees in parallel while returning the mapping a
+// sequential depth-first search returns. candidate_subsets() and
+// assignment_config() define the search order and the result shape; the
+// build-and-analyze test oracle (tests/synth_reference_oracle.h) uses
+// them too.
 #ifndef LRT_SYNTH_FAST_ENGINE_H_
 #define LRT_SYNTH_FAST_ENGINE_H_
 
@@ -19,47 +22,41 @@ namespace lrt::synth::internal {
 
 /// All nonempty subsets of the usable hosts with at most `max_size`
 /// elements, ordered by cardinality ascending, each cardinality class by
-/// descending combined reliability. Shared by both engines — the
-/// exhaustive search order (and therefore the deterministic-result
-/// contract) is defined by this list. `usable.size()` must be at most
-/// kMaxExhaustiveHosts (enforced by synthesize()); the mask is 64-bit so
-/// the enumeration itself is correct up to 63 hosts.
+/// descending combined reliability. The exhaustive search order (and
+/// therefore the deterministic-result contract) is defined by this list.
+/// `usable.size()` must be at most kMaxExhaustiveHosts (enforced by
+/// synthesize()); the mask is 64-bit so the enumeration itself is correct
+/// up to 63 hosts.
 [[nodiscard]] std::vector<std::vector<arch::HostId>> candidate_subsets(
     const arch::Architecture& arch, const std::vector<arch::HostId>& usable,
     int max_size);
 
 /// The ImplementationConfig for a host-set-per-task assignment, with the
-/// options' per-task time redundancy applied. Shared by both engines so
-/// their winning configs are structurally identical.
+/// options' per-task time redundancy applied.
 [[nodiscard]] impl::ImplementationConfig assignment_config(
     const spec::Specification& spec, const arch::Architecture& arch,
     const std::vector<impl::ImplementationConfig::SensorBinding>& bindings,
     const std::vector<std::vector<arch::HostId>>& assignment,
     const SynthesisOptions& options);
 
-/// True when every (task, usable host) pair has WCET and WCTT entries, so
-/// the fast engine can precompute its timing tables up front. When false,
-/// synthesize() falls back to the reference engine, which only touches
-/// the table entries of candidates it actually evaluates (and therefore
-/// may succeed, or fail later with the lookup error — either way exactly
-/// as the reference engine always behaved).
-[[nodiscard]] bool timing_tables_complete(
-    const spec::Specification& spec, const arch::Architecture& arch,
-    const std::vector<arch::HostId>& usable);
-
-/// Fast branch-and-bound exhaustive search. Deterministic: returns the
+/// Branch-and-bound exhaustive search. Deterministic: returns the
 /// minimal-cost valid mapping that is lexicographically least in
-/// candidate_subsets order, for every options.threads value — the same
-/// mapping the reference engine finds. `usable` must be ascending and
-/// duplicate-free.
+/// candidate_subsets order, for every options.threads value. When
+/// schedulability is required and a (task, usable host) pair has no WCET
+/// or WCTT, the search runs sequentially and fails with that lookup error
+/// at the first depth-first leaf that meets every LRC and uses such a
+/// pair.
+/// `usable` must be ascending and duplicate-free.
 [[nodiscard]] Result<SynthesisResult> fast_exhaustive(
     const spec::Specification& spec, const arch::Architecture& arch,
     const std::vector<impl::ImplementationConfig::SensorBinding>& bindings,
     const std::vector<arch::HostId>& usable, const SynthesisOptions& options);
 
-/// Fast greedy repair loop: replays the reference greedy's decision
-/// sequence exactly (same start host, same most-violated communicator,
-/// same repair move, same error messages) over incremental SRG updates.
+/// Greedy repair loop over incremental SRG updates: start every free task
+/// on the most reliable usable host, then add the best replica to a task
+/// supporting the most-violated communicator until the mapping is valid.
+/// A mapping that meets every LRC but uses a timing-table hole fails with
+/// the lookup error.
 [[nodiscard]] Result<SynthesisResult> fast_greedy(
     const spec::Specification& spec, const arch::Architecture& arch,
     const std::vector<impl::ImplementationConfig::SensorBinding>& bindings,

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <functional>
 #include <set>
 
 #include "reliability/analysis.h"
-#include "sched/schedulability.h"
 #include "synth/fast_engine.h"
 
 namespace lrt::synth {
@@ -16,272 +13,6 @@ namespace {
 using arch::HostId;
 using spec::CommId;
 using spec::TaskId;
-
-/// Reference-engine search state: builds candidate Implementations and
-/// evaluates validity (reliability + optional schedulability) from
-/// scratch per candidate. Kept verbatim as the differential oracle for
-/// the fast engine (tests assert identical mappings) and as the bench
-/// baseline the speedup numbers are measured against.
-class Evaluator {
- public:
-  Evaluator(const spec::Specification& spec, const arch::Architecture& arch,
-            std::vector<impl::ImplementationConfig::SensorBinding> bindings,
-            std::vector<HostId> usable, const SynthesisOptions& options)
-      : spec_(spec), arch_(arch), bindings_(std::move(bindings)),
-        usable_(std::move(usable)), options_(options) {
-    relaxed_.assign(spec.communicators().size(), false);
-    for (const CommId c : options.relaxed_lrcs) {
-      relaxed_[static_cast<std::size_t>(c)] = true;
-    }
-  }
-
-  /// Builds the ImplementationConfig for an assignment (host set per task).
-  [[nodiscard]] impl::ImplementationConfig to_config(
-      const std::vector<std::vector<HostId>>& assignment) const {
-    return internal::assignment_config(spec_, arch_, bindings_, assignment,
-                                       options_);
-  }
-
-  /// Evaluates an assignment; true iff the mapping is valid: every
-  /// unrelaxed LRC satisfied, and (optionally) schedulable.
-  [[nodiscard]] Result<bool> valid(
-      const std::vector<std::vector<HostId>>& assignment) {
-    ++candidates_;
-    auto impl_result =
-        impl::Implementation::Build(spec_, arch_, to_config(assignment));
-    if (!impl_result.ok()) return impl_result.status();
-    LRT_ASSIGN_OR_RETURN(const reliability::ReliabilityReport report,
-                         reliability::analyze(*impl_result));
-    for (const reliability::CommunicatorVerdict& verdict : report.verdicts) {
-      if (!verdict.satisfied && !relaxed(verdict.comm)) return false;
-    }
-    if (options_.require_schedulable) {
-      LRT_ASSIGN_OR_RETURN(const sched::SchedulabilityReport sched_report,
-                           sched::analyze_schedulability(*impl_result));
-      if (!sched_report.schedulable) return false;
-    }
-    return true;
-  }
-
-  /// Reliability report for an assignment (used by the greedy repair loop).
-  [[nodiscard]] Result<reliability::ReliabilityReport> report(
-      const std::vector<std::vector<HostId>>& assignment) {
-    auto impl_result =
-        impl::Implementation::Build(spec_, arch_, to_config(assignment));
-    if (!impl_result.ok()) return impl_result.status();
-    return reliability::analyze(*impl_result);
-  }
-
-  [[nodiscard]] std::int64_t candidates() const { return candidates_; }
-  [[nodiscard]] bool relaxed(CommId comm) const {
-    return relaxed_[static_cast<std::size_t>(comm)];
-  }
-
-  const spec::Specification& spec() const { return spec_; }
-  const arch::Architecture& arch() const { return arch_; }
-  /// Hosts the search may use, ascending and duplicate-free.
-  [[nodiscard]] const std::vector<HostId>& usable() const { return usable_; }
-
- private:
-  const spec::Specification& spec_;
-  const arch::Architecture& arch_;
-  std::vector<impl::ImplementationConfig::SensorBinding> bindings_;
-  std::vector<HostId> usable_;
-  std::vector<bool> relaxed_;  // by CommId
-  const SynthesisOptions& options_;
-  std::int64_t candidates_ = 0;
-};
-
-Result<SynthesisResult> reference_exhaustive(Evaluator& evaluator,
-                                             const SynthesisOptions& options) {
-  const auto num_tasks =
-      static_cast<TaskId>(evaluator.spec().tasks().size());
-  const std::vector<std::vector<HostId>> subsets =
-      internal::candidate_subsets(evaluator.arch(), evaluator.usable(),
-                                  options.max_replication_per_task);
-
-  std::vector<std::vector<HostId>> assignment(
-      static_cast<std::size_t>(num_tasks));
-  std::vector<std::vector<HostId>> best;
-  std::size_t best_cost = SIZE_MAX;
-  Status failure = Status::Ok();
-
-  // Depth-first over tasks; prune when the partial cost plus one replica
-  // per remaining task cannot beat the incumbent. A pinned task explores
-  // exactly its pinned set.
-  const std::function<Status(TaskId, std::size_t)> descend =
-      [&](TaskId t, std::size_t cost) -> Status {
-    if (cost + static_cast<std::size_t>(num_tasks - t) >= best_cost) {
-      return Status::Ok();  // bound
-    }
-    if (t == num_tasks) {
-      LRT_ASSIGN_OR_RETURN(const bool ok, evaluator.valid(assignment));
-      if (ok) {
-        best = assignment;
-        best_cost = cost;
-      }
-      return Status::Ok();
-    }
-    if (!options.pinned_hosts.empty() &&
-        !options.pinned_hosts[static_cast<std::size_t>(t)].empty()) {
-      const std::vector<HostId>& pinned =
-          options.pinned_hosts[static_cast<std::size_t>(t)];
-      assignment[static_cast<std::size_t>(t)] = pinned;
-      return descend(t + 1, cost + pinned.size());
-    }
-    for (const std::vector<HostId>& subset : subsets) {
-      assignment[static_cast<std::size_t>(t)] = subset;
-      LRT_RETURN_IF_ERROR(descend(t + 1, cost + subset.size()));
-    }
-    return Status::Ok();
-  };
-  LRT_RETURN_IF_ERROR(descend(0, 0));
-
-  if (best_cost == SIZE_MAX) {
-    return UnsatisfiableError(
-        "no replication mapping satisfies every LRC (and schedulability) "
-        "within the configured bounds");
-  }
-  SynthesisResult result;
-  result.config = evaluator.to_config(best);
-  result.replication_count = best_cost;
-  result.candidates_evaluated = evaluator.candidates();
-  result.full_evals = evaluator.candidates();
-  return result;
-}
-
-Result<SynthesisResult> reference_greedy(Evaluator& evaluator,
-                                         const SynthesisOptions& options) {
-  const spec::Specification& spec = evaluator.spec();
-  const arch::Architecture& arch = evaluator.arch();
-  const auto num_tasks = static_cast<TaskId>(spec.tasks().size());
-  const std::vector<HostId>& usable = evaluator.usable();
-
-  // Start: every task on the single most reliable usable host; a pinned
-  // task starts (and stays) on its pinned set.
-  HostId best_host = usable.front();
-  for (const HostId h : usable) {
-    if (arch.host(h).reliability > arch.host(best_host).reliability) {
-      best_host = h;
-    }
-  }
-  const auto pinned_set = [&options](TaskId t) -> const std::vector<HostId>* {
-    if (options.pinned_hosts.empty()) return nullptr;
-    const auto& pinned = options.pinned_hosts[static_cast<std::size_t>(t)];
-    return pinned.empty() ? nullptr : &pinned;
-  };
-  std::vector<std::vector<HostId>> assignment(
-      static_cast<std::size_t>(num_tasks), std::vector<HostId>{best_host});
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (const std::vector<HostId>* pinned = pinned_set(t)) {
-      assignment[static_cast<std::size_t>(t)] = *pinned;
-    }
-  }
-
-  // Support set of a communicator: the tasks whose reliability its SRG
-  // depends on (writer, then transitively the writers of its inputs,
-  // stopping at independent-model tasks).
-  const auto support = [&spec](CommId comm) {
-    std::vector<TaskId> tasks;
-    std::set<CommId> visited;
-    std::vector<CommId> stack = {comm};
-    while (!stack.empty()) {
-      const CommId c = stack.back();
-      stack.pop_back();
-      if (!visited.insert(c).second) continue;
-      const auto writer = spec.writer_of(c);
-      if (!writer.has_value()) continue;
-      tasks.push_back(*writer);
-      if (spec.task(*writer).model != spec::FailureModel::kIndependent) {
-        for (const CommId in : spec.input_comm_set(*writer)) {
-          stack.push_back(in);
-        }
-      }
-    }
-    return tasks;
-  };
-
-  const std::size_t max_total =
-      static_cast<std::size_t>(num_tasks) *
-      std::min<std::size_t>(usable.size(),
-                            static_cast<std::size_t>(
-                                options.max_replication_per_task));
-  while (true) {
-    LRT_ASSIGN_OR_RETURN(const bool ok, evaluator.valid(assignment));
-    if (ok) break;
-
-    LRT_ASSIGN_OR_RETURN(const reliability::ReliabilityReport report,
-                         evaluator.report(assignment));
-    auto violations = report.violations();
-    std::erase_if(violations,
-                  [&evaluator](const reliability::CommunicatorVerdict& v) {
-                    return evaluator.relaxed(v.comm);
-                  });
-    if (violations.empty()) {
-      // Reliable but unschedulable: replication only adds load, so greedy
-      // cannot repair it.
-      return UnsatisfiableError(
-          "greedy synthesis: mapping is reliable but not schedulable; "
-          "no repair move available");
-    }
-    // Most-violated communicator first.
-    const auto worst = std::min_element(
-        violations.begin(), violations.end(),
-        [](const reliability::CommunicatorVerdict& a,
-           const reliability::CommunicatorVerdict& b) {
-          return a.slack < b.slack;
-        });
-
-    // Best move: add the most reliable unused host to the support task
-    // with the lowest current task reliability.
-    TaskId move_task = -1;
-    HostId move_host = -1;
-    double move_score = -1.0;
-    for (const TaskId t : support(worst->comm)) {
-      if (pinned_set(t) != nullptr) continue;  // pinned: not a repair knob
-      auto& hosts = assignment[static_cast<std::size_t>(t)];
-      if (static_cast<int>(hosts.size()) >=
-          options.max_replication_per_task) {
-        continue;
-      }
-      for (const HostId h : usable) {
-        if (std::find(hosts.begin(), hosts.end(), h) != hosts.end()) continue;
-        // Marginal gain on lambda_t of adding h to t.
-        double fail = 1.0;
-        for (const HostId existing : hosts) {
-          fail *= 1.0 - arch.host(existing).reliability;
-        }
-        const double gain = fail * arch.host(h).reliability;
-        if (gain > move_score) {
-          move_score = gain;
-          move_task = t;
-          move_host = h;
-        }
-      }
-    }
-    if (move_task == -1) {
-      return UnsatisfiableError(
-          "greedy synthesis: LRC of '" + worst->name +
-          "' unmet and every supporting task is fully replicated");
-    }
-    auto& hosts = assignment[static_cast<std::size_t>(move_task)];
-    hosts.push_back(move_host);
-    std::sort(hosts.begin(), hosts.end());
-
-    std::size_t total = 0;
-    for (const auto& set : assignment) total += set.size();
-    if (total > max_total) {
-      return InternalError("greedy synthesis failed to terminate");
-    }
-  }
-
-  SynthesisResult result;
-  result.config = evaluator.to_config(assignment);
-  for (const auto& set : assignment) result.replication_count += set.size();
-  result.candidates_evaluated = evaluator.candidates();
-  result.full_evals = evaluator.candidates();
-  return result;
-}
 
 /// The actual search; synthesize() wraps it with observability.
 Result<SynthesisResult> synthesize_impl(
@@ -326,9 +57,9 @@ Result<SynthesisResult> synthesize_impl(
     return InvalidArgumentError(
         "task_redundancy must be empty or give one entry per task");
   }
-  // Normalize the pins (engines rely on ascending, duplicate-free sets
-  // that are subsets of `usable`, so the search never leaves the region
-  // the schedulability tables cover).
+  // Normalize the pins (the search relies on ascending, duplicate-free
+  // sets that are subsets of `usable`, so it never leaves the region the
+  // schedulability tables cover).
   SynthesisOptions opts = options;
   if (!opts.pinned_hosts.empty()) {
     if (opts.pinned_hosts.size() != spec.tasks().size()) {
@@ -353,33 +84,12 @@ Result<SynthesisResult> synthesize_impl(
     }
   }
 
-  // The fast path precomputes its timing tables for every (task, usable
-  // host) pair; an architecture with holes in its WCET/WCTT tables falls
-  // back to the reference engine, which only touches the entries of
-  // candidates it actually evaluates.
-  const bool fast =
-      opts.engine == SynthesisOptions::Engine::kFast &&
-      (!opts.require_schedulable ||
-       internal::timing_tables_complete(spec, arch, usable));
-  if (fast) {
-    switch (opts.strategy) {
-      case SynthesisOptions::Strategy::kExhaustive:
-        return internal::fast_exhaustive(spec, arch, sensor_bindings, usable,
-                                         opts);
-      case SynthesisOptions::Strategy::kGreedy:
-        return internal::fast_greedy(spec, arch, sensor_bindings, usable,
-                                     opts);
-    }
-    return InternalError("unknown synthesis strategy");
-  }
-
-  Evaluator evaluator(spec, arch, std::move(sensor_bindings),
-                      std::move(usable), opts);
   switch (opts.strategy) {
     case SynthesisOptions::Strategy::kExhaustive:
-      return reference_exhaustive(evaluator, opts);
+      return internal::fast_exhaustive(spec, arch, sensor_bindings, usable,
+                                       opts);
     case SynthesisOptions::Strategy::kGreedy:
-      return reference_greedy(evaluator, opts);
+      return internal::fast_greedy(spec, arch, sensor_bindings, usable, opts);
   }
   return InternalError("unknown synthesis strategy");
 }

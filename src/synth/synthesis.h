@@ -6,30 +6,36 @@
 // every LRC (Prop. 1) and which is schedulable, minimizing the total number
 // of task replications (the space-redundancy cost).
 //
-// Two strategies:
+// Two strategies, one engine (src/synth/fast_engine.{h,cpp}):
 //  * kExhaustive — best-first branch-and-bound over per-task host subsets;
 //    returns a provably minimal-cost valid mapping or kUnsatisfiable.
-//    Worst-case exponential in |tset| * 2^|hset|, but the fast engine
-//    prunes any subtree whose SRG ceiling (remaining tasks at full
-//    replication — admissible by the Section-3 induction's monotonicity)
-//    cannot meet an unrelaxed LRC or beat the incumbent cost, and can
-//    explore top-level subtrees in parallel. The result is deterministic
-//    for every thread count: the lexicographically-least minimal-cost
-//    mapping in candidate order, exactly what the sequential reference
-//    engine returns.
+//    Worst-case exponential in |tset| * 2^|hset|, but the search prunes
+//    any subtree whose SRG ceiling (remaining tasks at full replication —
+//    admissible by the Section-3 induction's monotonicity) cannot meet an
+//    unrelaxed LRC or beat the incumbent cost, and can explore top-level
+//    subtrees in parallel. The result is deterministic for every thread
+//    count: the lexicographically-least minimal-cost mapping in candidate
+//    order, which a sequential depth-first search also returns.
 //  * kGreedy — start every task on its most reliable feasible host, then
 //    repeatedly add the best replica to a task supporting the most-violated
 //    communicator until all LRCs hold. Fast and, on series-dominated
 //    dataflows, usually optimal (bench_synthesis quantifies the gap).
 //
-// Two engines produce those strategies:
-//  * kFast (default) — reliability::SrgEvaluator re-propagates SRGs only
-//    through the dirty downstream cone of a host-set change (no
-//    Implementation::Build, no per-candidate allocation) and the
-//    schedulability check is a memoized last gate keyed on the per-host
-//    task set.
-//  * kReference — the original build-and-analyze loop, kept as the
-//    differential oracle: same mappings, orders of magnitude slower.
+// Both evaluate candidates with reliability::SrgEvaluator, which
+// re-propagates SRGs only through the dirty downstream cone of a host-set
+// change (no Implementation::Build, no per-candidate allocation); the
+// schedulability check is a memoized last gate keyed on the per-host task
+// set. The differential tests compare its results with a plain
+// build-and-analyze search (tests/synth_reference_oracle.h).
+//
+// Timing-table holes: an architecture may lack the WCET or WCTT of some
+// (task, host) pair (no metric entry and no default). With
+// require_schedulable, a candidate that meets every unrelaxed LRC and maps
+// a task onto such a pair fails the whole run with the kNotFound lookup
+// error analyze_schedulability would give (tasks ascending, hosts
+// ascending, WCET before WCTT); a candidate that misses an LRC is rejected
+// without a lookup. Exhaustive reports the first such candidate in
+// depth-first order, so on tables with holes it searches on one thread.
 #ifndef LRT_SYNTH_SYNTHESIS_H_
 #define LRT_SYNTH_SYNTHESIS_H_
 
@@ -52,15 +58,11 @@ inline constexpr int kMaxExhaustiveHosts = 20;
 struct SynthesisOptions {
   enum class Strategy { kExhaustive, kGreedy };
   Strategy strategy = Strategy::kGreedy;
-  /// Search machinery: the incremental/pruned/parallel fast path, or the
-  /// original full build-and-analyze loop (the differential oracle; see
-  /// the header comment). Both return identical mappings.
-  enum class Engine { kFast, kReference };
-  Engine engine = Engine::kFast;
-  /// Worker threads (including the caller) for the fast exhaustive
-  /// search; 0 picks std::thread::hardware_concurrency(). The synthesized
-  /// mapping is identical for every value. Ignored by the greedy strategy
-  /// and the reference engine.
+  /// Worker threads (including the caller) for the exhaustive search; 0
+  /// picks std::thread::hardware_concurrency(). The synthesized mapping is
+  /// identical for every value. Ignored by the greedy strategy, and by an
+  /// exhaustive search whose timing tables have holes (see the header
+  /// comment), which runs on the calling thread.
   unsigned threads = 1;
   /// Also require sched::analyze_schedulability to pass.
   bool require_schedulable = true;
@@ -103,7 +105,7 @@ struct SynthesisResult {
   /// Total replications of the winner.
   std::size_t replication_count = 0;
   /// Candidate mappings examined, fully or incrementally (search effort;
-  /// full_evals + incremental_evals for the fast engine).
+  /// full_evals + incremental_evals).
   std::int64_t candidates_evaluated = 0;
   /// Complete mappings whose final (schedulability) gate ran.
   std::int64_t full_evals = 0;
@@ -115,8 +117,8 @@ struct SynthesisResult {
   /// cache vs computed by EDF simulation.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  /// Times the branch-and-bound incumbent improved (fast exhaustive
-  /// engine only; 0 for the greedy strategy and the reference engine).
+  /// Times the branch-and-bound incumbent improved (exhaustive only; 0 for
+  /// the greedy strategy).
   std::int64_t incumbent_updates = 0;
 };
 
@@ -125,8 +127,10 @@ struct SynthesisResult {
 /// freedom here). Returns kUnsatisfiable when no mapping within the
 /// options' bounds meets all (unrelaxed) LRCs (e.g. the LRC exceeds what
 /// full replication on the allowed hosts can deliver), kInvalidArgument
-/// for out-of-range option ids, and kFailedPrecondition for
-/// specifications whose SRGs are undefined (unsafe cycles).
+/// for out-of-range option ids, kFailedPrecondition for specifications
+/// whose SRGs are undefined (unsafe cycles), and kNotFound when a mapping
+/// that meets every LRC needs a missing WCET/WCTT (see the header
+/// comment).
 [[nodiscard]] Result<SynthesisResult> synthesize(
     const spec::Specification& spec, const arch::Architecture& arch,
     std::vector<impl::ImplementationConfig::SensorBinding> sensor_bindings,

@@ -594,6 +594,60 @@ TEST(Service, BatchRejectsNestedBatchAndShutdown) {
 }
 
 // ---------------------------------------------------------------------------
+// Synthesize.
+
+TEST(Service, SynthesizeWithTimingHoleIsPrompt) {
+  // A 10-task chain on 3 hosts whose last LRC no mapping can meet, over an
+  // architecture with no default WCET and one missing metric entry. The
+  // exhaustive search must prove the LRC unreachable from the SRG ceiling
+  // instead of enumerating the 7^10 candidate mappings.
+  constexpr int kTasks = 10;
+  spec::SpecificationConfig spec_config;
+  spec_config.name = "hole_chain";
+  spec_config.communicators.push_back(
+      {"c0", spec::ValueType::kReal, spec::Value::real(0.0), 10, 0.5});
+  for (int i = 0; i < kTasks; ++i) {
+    const std::string in = test::indexed("c", i);
+    const std::string out = test::indexed("c", i + 1);
+    spec_config.communicators.push_back(
+        {out, spec::ValueType::kReal, spec::Value::real(0.0), 10,
+         i + 1 == kTasks ? 0.9999 : 0.5});
+    spec::SpecificationConfig::TaskConfig task;
+    task.name = test::indexed("t", i);
+    task.inputs = {{in, 0}};
+    task.outputs = {{out, 1}};
+    task.model = spec::FailureModel::kSeries;
+    spec_config.tasks.push_back(std::move(task));
+  }
+  arch::ArchitectureConfig arch_config;
+  arch_config.name = "hole_arch";
+  arch_config.hosts = {{"h1", 0.9}, {"h2", 0.9}, {"h3", 0.9}};
+  arch_config.sensors = {{"gauge", 0.99}};
+  arch_config.default_wcet = std::nullopt;
+  for (const auto& task : spec_config.tasks) {
+    for (const arch::Host& host : arch_config.hosts) {
+      if (task.name == "t0" && host.name == "h3") continue;  // the hole
+      arch_config.metrics.push_back({task.name, host.name, 1, 1});
+    }
+  }
+  const std::string extra =
+      "\"spec\":" + spec::to_json(spec_config) +
+      ",\"arch\":" + arch::to_json(arch_config) +
+      ",\"sensor_bindings\":[{\"communicator\":\"c0\",\"sensor\":"
+      "\"gauge\"}],\"strategy\":\"exhaustive\"";
+  ASSERT_TRUE(contains(extra, "\"default_wcet\":null")) << extra;
+
+  Service service;
+  const auto start = std::chrono::steady_clock::now();
+  const std::string frame = handle_error(
+      service, make_frame("s1", "synthesize", extra), "kUnsatisfiable");
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  EXPECT_LT(ms, 1000.0) << frame;
+}
+
+// ---------------------------------------------------------------------------
 // Framing.
 
 TEST(Frame, RoundTripsOverSocketpair) {

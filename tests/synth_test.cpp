@@ -1,8 +1,13 @@
 // Unit tests for src/synth: greedy and exhaustive replication synthesis,
 // optimality on small systems, unsatisfiable requirements, the paper's
-// scenario-1 replication rediscovered automatically, and the fast engine's
-// equivalence/determinism contract against the reference engine.
+// scenario-1 replication rediscovered automatically, and the engine's
+// equivalence/determinism contract against the build-and-analyze oracle
+// (tests/synth_reference_oracle.h), including timing tables with holes.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstdio>
+#include <string>
 
 #include "gen/workload.h"
 #include "plant/three_tank_system.h"
@@ -10,6 +15,7 @@
 #include "sched/schedulability.h"
 #include "support/rng.h"
 #include "synth/synthesis.h"
+#include "tests/synth_reference_oracle.h"
 #include "tests/test_util.h"
 
 namespace lrt::synth {
@@ -49,6 +55,11 @@ SynthesisOptions strategy(SynthesisOptions::Strategy s) {
   options.strategy = s;
   return options;
 }
+
+/// Production synthesis and the reference oracle share one signature.
+using Synthesizer = decltype(&synthesize);
+constexpr std::array<Synthesizer, 2> kProductionAndOracle = {
+    &synthesize, &test::oracle_synthesize};
 
 class BothStrategies
     : public ::testing::TestWithParam<SynthesisOptions::Strategy> {};
@@ -253,14 +264,12 @@ TEST(Synthesis, PinnedHostsAreHonoredEvenWhenSuboptimal) {
   // Easy LRCs: the optimum is one replica per task (cost 2). Pinning t1
   // to {h1, h2} must be respected verbatim, not optimized away.
   Fixture f = chain_fixture(0.9, 0.9, {{"h1", 0.99}, {"h2", 0.99}});
-  for (const auto engine : {SynthesisOptions::Engine::kFast,
-                            SynthesisOptions::Engine::kReference}) {
+  for (const Synthesizer run : kProductionAndOracle) {
     for (const auto strat : {SynthesisOptions::Strategy::kGreedy,
                              SynthesisOptions::Strategy::kExhaustive}) {
       SynthesisOptions options = strategy(strat);
-      options.engine = engine;
       options.pinned_hosts = {{0, 1}, {}};
-      const auto result = synthesize(*f.spec, *f.arch, f.bindings, options);
+      const auto result = run(*f.spec, *f.arch, f.bindings, options);
       ASSERT_TRUE(result.ok()) << result.status();
       EXPECT_EQ(result->replication_count, 3u);
       bool found_t1 = false;
@@ -276,21 +285,19 @@ TEST(Synthesis, PinnedHostsAreHonoredEvenWhenSuboptimal) {
 }
 
 TEST(Synthesis, PinnedHostsEnginesAgree) {
-  // A pin plus a tight LRC on the free task: both engines, both
-  // strategies, must land on the same cost (and the exhaustive pair on
-  // the same mapping).
+  // A pin plus a tight LRC on the free task: production and the oracle,
+  // both strategies, must land on the same cost (and the exhaustive pair
+  // on the same mapping).
   Fixture f = chain_fixture(0.9, 0.985,
                             {{"h1", 0.99}, {"h2", 0.99}, {"h3", 0.98}});
   std::vector<std::size_t> costs;
   std::vector<impl::ImplementationConfig> exhaustive_configs;
-  for (const auto engine : {SynthesisOptions::Engine::kFast,
-                            SynthesisOptions::Engine::kReference}) {
+  for (const Synthesizer run : kProductionAndOracle) {
     for (const auto strat : {SynthesisOptions::Strategy::kGreedy,
                              SynthesisOptions::Strategy::kExhaustive}) {
       SynthesisOptions options = strategy(strat);
-      options.engine = engine;
       options.pinned_hosts = {{}, {1, 2}};
-      const auto result = synthesize(*f.spec, *f.arch, f.bindings, options);
+      const auto result = run(*f.spec, *f.arch, f.bindings, options);
       ASSERT_TRUE(result.ok()) << result.status();
       costs.push_back(result->replication_count);
       if (strat == SynthesisOptions::Strategy::kExhaustive) {
@@ -347,9 +354,9 @@ TEST(Synthesis, PinnedHostsValidation) {
 }
 
 TEST(FastEngine, MatchesReferenceOnRandomWorkloads) {
-  // The fast engine must agree with the reference engine verdict-for-
-  // verdict: same mapping for exhaustive, same mapping for greedy, same
-  // error code when unsatisfiable.
+  // Production must agree with the reference oracle verdict-for-verdict:
+  // same mapping for exhaustive, same mapping for greedy, same error code
+  // when unsatisfiable.
   gen::WorkloadOptions workload_options;
   workload_options.max_layers = 2;  // keeps reference exhaustive tractable
   workload_options.max_tasks_per_layer = 2;
@@ -364,15 +371,13 @@ TEST(FastEngine, MatchesReferenceOnRandomWorkloads) {
         workload->implementation_config.sensor_bindings;
     for (const auto s : {SynthesisOptions::Strategy::kExhaustive,
                          SynthesisOptions::Strategy::kGreedy}) {
-      SynthesisOptions fast = strategy(s);
-      SynthesisOptions reference = strategy(s);
-      reference.engine = SynthesisOptions::Engine::kReference;
+      const SynthesisOptions options = strategy(s);
       const auto fast_result = synthesize(*workload->specification,
                                           *workload->architecture, bindings,
-                                          fast);
-      const auto ref_result = synthesize(*workload->specification,
-                                         *workload->architecture, bindings,
-                                         reference);
+                                          options);
+      const auto ref_result = test::oracle_synthesize(
+          *workload->specification, *workload->architecture, bindings,
+          options);
       ASSERT_EQ(fast_result.ok(), ref_result.ok())
           << "seed " << seed << ": fast " << fast_result.status()
           << " vs reference " << ref_result.status();
@@ -392,13 +397,12 @@ TEST(FastEngine, MatchesReferenceOnRandomWorkloads) {
 
 TEST(FastEngine, ParallelExhaustiveIsDeterministic) {
   // Same mapping and cost for every thread count, equal to the
-  // single-threaded (and reference) result.
+  // single-threaded (and oracle) result.
   Fixture f = chain_fixture(0.95, 0.985,
                             {{"h1", 0.99}, {"h2", 0.98}, {"h3", 0.97}});
-  SynthesisOptions reference =
-      strategy(SynthesisOptions::Strategy::kExhaustive);
-  reference.engine = SynthesisOptions::Engine::kReference;
-  const auto baseline = synthesize(*f.spec, *f.arch, f.bindings, reference);
+  const auto baseline = test::oracle_synthesize(
+      *f.spec, *f.arch, f.bindings,
+      strategy(SynthesisOptions::Strategy::kExhaustive));
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
   for (const unsigned threads : {1u, 2u, 8u}) {
@@ -416,8 +420,8 @@ TEST(FastEngine, ParallelExhaustiveIsDeterministic) {
 
 TEST(FastEngine, ExhaustivePrunesMostOfTheSearchTree) {
   // On the paper's 3TS system the branch-and-bound fast path must reach
-  // the same mapping with a fraction of the reference engine's full
-  // builds — the >= 10x bar BENCH_synthesis.json tracks.
+  // the same mapping with a fraction of the oracle's full builds — the
+  // >= 10x bar BENCH_synthesis.json tracks.
   plant::ThreeTankScenario scenario;
   scenario.lrc_controls = 0.98;
   auto system = plant::make_three_tank_system(scenario);
@@ -425,21 +429,19 @@ TEST(FastEngine, ExhaustivePrunesMostOfTheSearchTree) {
   const std::vector<impl::ImplementationConfig::SensorBinding> bindings = {
       {"s1", "sensor1"}, {"s2", "sensor2"}};
 
-  SynthesisOptions fast = strategy(SynthesisOptions::Strategy::kExhaustive);
-  SynthesisOptions reference =
+  const SynthesisOptions options =
       strategy(SynthesisOptions::Strategy::kExhaustive);
-  reference.engine = SynthesisOptions::Engine::kReference;
   const auto fast_result = synthesize(*system->specification,
-                                      *system->architecture, bindings, fast);
-  const auto ref_result = synthesize(*system->specification,
-                                     *system->architecture, bindings,
-                                     reference);
+                                      *system->architecture, bindings,
+                                      options);
+  const auto ref_result = test::oracle_synthesize(
+      *system->specification, *system->architecture, bindings, options);
   ASSERT_TRUE(fast_result.ok()) << fast_result.status();
   ASSERT_TRUE(ref_result.ok()) << ref_result.status();
   EXPECT_TRUE(same_config(fast_result->config, ref_result->config));
   EXPECT_GT(fast_result->subtrees_pruned, 0);
-  // "Full analyze-equivalent evaluations": the reference engine does one
-  // per candidate; the fast engine only gates surviving leaves.
+  // "Full analyze-equivalent evaluations": the oracle does one per
+  // candidate; production only gates surviving leaves.
   EXPECT_GE(ref_result->full_evals, 10 * fast_result->full_evals);
 }
 
@@ -483,6 +485,119 @@ TEST(FastEngine, CountersAreConsistent) {
               result->full_evals + result->incremental_evals);
     EXPECT_GT(result->incremental_evals, 0);
   }
+}
+
+/// A generated workload whose architecture has no default WCET/WCTT (or
+/// only one of them) and random holes in its metric table, so some
+/// candidate mappings have no timing data.
+struct HoleWorkload {
+  gen::Workload workload;
+  std::unique_ptr<arch::Architecture> arch;
+};
+
+HoleWorkload hole_workload(std::uint64_t seed) {
+  gen::WorkloadOptions workload_options;
+  workload_options.max_layers = 2;  // keeps the oracle's exhaustive tractable
+  workload_options.max_tasks_per_layer = 2;
+  workload_options.min_hosts = 2;
+  workload_options.max_hosts = 3;
+  workload_options.min_lrc = 0.4;
+  workload_options.max_lrc = 0.95;
+  Xoshiro256 rng(seed);
+  HoleWorkload out{
+      std::move(gen::random_workload(rng, workload_options)).value(),
+      nullptr};
+  arch::ArchitectureConfig config = out.workload.architecture_config;
+  // Mostly neither default; sometimes one, so that a hole reads as a
+  // missing WCTT only (or a missing WCET only).
+  const std::uint64_t defaults = rng.next_below(4);
+  config.default_wcet = std::nullopt;
+  config.default_wctt = std::nullopt;
+  if (defaults == 2) config.default_wcet = 1;
+  if (defaults == 3) config.default_wctt = 1;
+  for (const spec::Task& t : out.workload.specification->tasks()) {
+    for (const arch::Host& h : config.hosts) {
+      if (rng.bernoulli(0.2)) continue;  // a hole
+      // WCTTs large enough that a hole-free mapping may overload the bus.
+      config.metrics.push_back(
+          {t.name, h.name, static_cast<spec::Time>(1 + rng.next_below(4)),
+           static_cast<spec::Time>(1 + rng.next_below(6))});
+    }
+  }
+  out.arch = std::make_unique<arch::Architecture>(
+      std::move(arch::Architecture::Build(std::move(config))).value());
+  return out;
+}
+
+TEST(SynthesisDifferential, TimingTableHolesMatchOracle) {
+  // Timing-table holes, random pins and relaxed LRCs: production (both
+  // strategies, 1/2/8 threads) returns exactly the oracle's status code
+  // and message, and its mapping when it succeeds. A hole matters only in
+  // a mapping that meets every LRC, and then before the bus and EDF
+  // checks.
+  int ok = 0;
+  int not_found = 0;
+  int unsatisfiable = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const HoleWorkload w = hole_workload(seed);
+    const spec::Specification& spec = *w.workload.specification;
+    Xoshiro256 rng(seed ^ 0x5eedULL);
+    SynthesisOptions options;
+    for (spec::CommId c = 0;
+         c < static_cast<spec::CommId>(spec.communicators().size()); ++c) {
+      if (rng.bernoulli(0.15)) options.relaxed_lrcs.push_back(c);
+    }
+    if (rng.bernoulli(0.5)) {
+      const auto hosts = static_cast<arch::HostId>(w.arch->hosts().size());
+      options.pinned_hosts.resize(spec.tasks().size());
+      for (auto& pinned : options.pinned_hosts) {
+        if (!rng.bernoulli(0.3)) continue;
+        pinned.push_back(static_cast<arch::HostId>(
+            rng.next_below(static_cast<std::uint64_t>(hosts))));
+        if (rng.bernoulli(0.5)) {
+          pinned.push_back(static_cast<arch::HostId>(
+              rng.next_below(static_cast<std::uint64_t>(hosts))));
+        }
+      }
+    }
+    const auto& bindings = w.workload.implementation_config.sensor_bindings;
+    for (const auto s : {SynthesisOptions::Strategy::kExhaustive,
+                         SynthesisOptions::Strategy::kGreedy}) {
+      options.strategy = s;
+      const auto expected =
+          test::oracle_synthesize(spec, *w.arch, bindings, options);
+      const StatusCode code = expected.status().code();
+      ok += code == StatusCode::kOk ? 1 : 0;
+      not_found += code == StatusCode::kNotFound ? 1 : 0;
+      unsatisfiable += code == StatusCode::kUnsatisfiable ? 1 : 0;
+      EXPECT_TRUE(code == StatusCode::kOk || code == StatusCode::kNotFound ||
+                  code == StatusCode::kUnsatisfiable)
+          << "seed " << seed << ": " << expected.status();
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        options.threads = threads;
+        const auto actual = synthesize(spec, *w.arch, bindings, options);
+        const std::string where = "seed " + std::to_string(seed) +
+                                  (s == SynthesisOptions::Strategy::kGreedy
+                                       ? " greedy "
+                                       : " exhaustive ") +
+                                  std::to_string(threads) + " threads";
+        ASSERT_EQ(actual.status().code(), expected.status().code())
+            << where << ": " << actual.status() << " vs oracle "
+            << expected.status();
+        EXPECT_EQ(actual.status().message(), expected.status().message())
+            << where;
+        if (!actual.ok()) continue;
+        EXPECT_EQ(actual->replication_count, expected->replication_count)
+            << where;
+        EXPECT_TRUE(same_config(actual->config, expected->config)) << where;
+      }
+    }
+  }
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(not_found, 0);
+  EXPECT_GT(unsatisfiable, 0);
+  std::printf("outcomes: %d ok, %d not found, %d unsatisfiable\n", ok,
+              not_found, unsatisfiable);
 }
 
 }  // namespace
